@@ -13,6 +13,7 @@
 #include "core/aggregate.h"
 #include "nn/conv2d.h"
 #include "nn/model_zoo.h"
+#include "pruning/structured.h"
 #include "pruning/unstructured.h"
 #include "tensor/backend.h"
 #include "tensor/device.h"
@@ -165,6 +166,43 @@ void BM_ConvForwardFused(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_ConvForwardFused)->Arg(0)->Arg(1);
+
+/// args: {compacted} — LeNet-5's conv2→bn2→relu→pool train-mode forward +
+/// backward at batch 10 (blocked backend) under a steady-state hybrid channel
+/// mask keeping 2 of 6 conv1 and 9 of 16 conv2 channels: the masked
+/// full-width chain vs the same chain compacted to the kept channels
+/// (Model::set_kept_channels). The two are bit-identical. One math thread,
+/// as in a federation, where each client trains inside one pool task.
+void BM_ConvForwardBackwardCompacted(benchmark::State& state) {
+  const std::size_t prev_threads = math_threads();
+  set_math_threads(1);
+  Rng rng(2);
+  ModelSpec spec = ModelSpec::lenet5(10);
+  spec.backend = "blocked";
+  Model model = spec.build_init(rng);
+  ChannelMask mask = ChannelMask::ones_like(model);
+  mask.block(0) = {1, 0, 0, 1, 0, 0};
+  for (std::size_t c = 0; c < 16; ++c) mask.block(1)[c] = c < 9 ? 1 : 0;
+  mask.to_model_mask(model).apply_to_weights(model);
+  if (state.range(0) != 0) model.set_kept_channels(mask.blocks());
+
+  // conv2's input: the batch through conv1→bn1→relu→pool (layers 0–3).
+  Tensor x({10, 3, 32, 32});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  for (std::size_t i = 0; i < 4; ++i) x = model.layer(i).forward(x, /*train=*/true);
+  constexpr std::size_t kFirst = 4, kLast = 8;  // conv2, bn2, relu, pool
+  for (auto _ : state) {
+    Tensor y = x;
+    for (std::size_t i = kFirst; i < kLast; ++i) y = model.layer(i).forward(y, /*train=*/true);
+    Tensor g(y.shape(), 1.0f);
+    for (std::size_t i = kLast; i-- > kFirst;) g = model.layer(i).backward(g);
+    benchmark::DoNotOptimize(g.data());
+  }
+  set_math_threads(prev_threads);
+  state.SetLabel(state.range(0) != 0 ? "compacted" : "masked");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
+}
+BENCHMARK(BM_ConvForwardBackwardCompacted)->Arg(0)->Arg(1);
 
 void BM_MagnitudeMaskDerivation(benchmark::State& state) {
   Rng rng(3);

@@ -29,12 +29,20 @@ SubFedAvgClient::SubFedAvgClient(std::size_t id, const ModelSpec& spec,
 
 void SubFedAvgClient::seed_personal(const StateDict& state) { personal_state_ = state; }
 
+void SubFedAvgClient::load_model(const StateDict& state) {
+  model_.load_state(state);
+  model_.set_kept_channels(channel_mask_.blocks());
+}
+
 void SubFedAvgClient::restore(StateDict personal, ModelMask weight_mask,
                               ChannelMask channel_mask) {
   // Validate against the architecture before committing anything.
   model_.load_state(personal);
   SUBFEDAVG_CHECK(channel_mask.num_blocks() == model_.topology().conv_blocks.size(),
                   "checkpoint channel mask does not match architecture");
+  weight_mask.check_binary();
+  channel_mask.check_valid();
+  model_.set_kept_channels(channel_mask.blocks());
   personal_state_ = std::move(personal);
   weight_mask_ = std::move(weight_mask);
   channel_mask_ = std::move(channel_mask);
@@ -49,8 +57,9 @@ ModelMask SubFedAvgClient::combined_mask() {
 
 ClientUpdate SubFedAvgClient::run_round(const StateDict& global, std::size_t round,
                                         ClientRoundReport* report) {
-  // 1. Download + personalize: θ ← θ_g ⊙ m_k.
-  model_.load_state(global);
+  // 1. Download + personalize: θ ← θ_g ⊙ m_k. Training and the gate's
+  // validation pass run compacted to the round-start channel mask.
+  load_model(global);
   ModelMask own_mask = combined_mask();
   own_mask.apply_to_weights(model_);
 
@@ -138,12 +147,12 @@ ClientUpdate SubFedAvgClient::run_round(const StateDict& global, std::size_t rou
 }
 
 EvalStats SubFedAvgClient::evaluate_test() {
-  model_.load_state(personal_state_);
+  load_model(personal_state_);
   return evaluate_client_test(model_, *data_);
 }
 
 EvalStats SubFedAvgClient::evaluate_val() {
-  model_.load_state(personal_state_);
+  load_model(personal_state_);
   return evaluate(model_, data_->val_images, data_->val_labels);
 }
 

@@ -65,6 +65,9 @@ class SubFedAvgClient {
   void seed_personal(const StateDict& state);
 
   /// Restores full pruning/personalization state (checkpoint resume).
+  /// Throws CheckError, committing nothing, when `personal` does not fit the
+  /// architecture or a mask is malformed (ModelMask::check_binary,
+  /// ChannelMask::check_valid).
   void restore(StateDict personal, ModelMask weight_mask, ChannelMask channel_mask);
 
   /// Executes one local round starting from the global state; returns the
@@ -88,6 +91,11 @@ class SubFedAvgClient {
   const StateDict& personal_state() const noexcept { return personal_state_; }
 
  private:
+  /// Loads `state` into the reused model and compacts it to the committed
+  /// channel mask — the only source of kept channels (see
+  /// Model::set_kept_channels).
+  void load_model(const StateDict& state);
+
   std::size_t id_;
   ModelSpec spec_;
   SubFedAvgConfig config_;

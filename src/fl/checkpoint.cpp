@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "comm/serialize.h"
@@ -64,12 +65,6 @@ StateDict mask_to_state(const ModelMask& mask) {
   StateDict state;
   for (const auto& [name, tensor] : mask) state.add(name, tensor);
   return state;
-}
-
-ModelMask state_to_mask(const StateDict& state) {
-  ModelMask mask;
-  for (const auto& [name, tensor] : state) mask.set(name, tensor);
-  return mask;
 }
 
 std::vector<std::uint8_t> channel_mask_bytes(const ChannelMask& mask) {
@@ -207,34 +202,35 @@ void load_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path) {
   SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad checkpoint magic");
   SUBFEDAVG_CHECK(reader.u32() == kVersion, "unsupported checkpoint version");
 
-  algorithm.set_global_state(decode_update(reader.blob()));
+  // Re-expressed as the generic sections, so the SFCG restore path decodes
+  // and checks every client's masks before installing anything.
+  std::vector<StateDict> sections;
+  sections.push_back(decode_update(reader.blob()));
   const std::uint32_t clients = reader.u32();
   SUBFEDAVG_CHECK(clients == algorithm.num_clients(),
                   "checkpoint has " << clients << " clients, federation has "
                                     << algorithm.num_clients());
   for (std::uint32_t k = 0; k < clients; ++k) {
-    StateDict personal = decode_update(reader.blob());
-    ModelMask weight_mask = state_to_mask(decode_update(reader.blob()));
-
+    sections.push_back(decode_update(reader.blob()));  // personal state
+    sections.push_back(decode_update(reader.blob()));  // weight mask
+    // Channel mask: block count, then per block a size and one keep byte per
+    // channel, as "block<b>" flag tensors.
     const std::vector<std::uint8_t> cm_bytes = reader.blob();
     Reader cm(cm_bytes);
+    StateDict channels;
     const std::uint32_t blocks = cm.u32();
-    // Start from the client's current mask to get the right block sizes.
-    ChannelMask channel_mask = algorithm.client(k).channel_mask();
-    SUBFEDAVG_CHECK(blocks == channel_mask.num_blocks(), "channel mask block count");
     for (std::uint32_t b = 0; b < blocks; ++b) {
+      std::vector<float> keep;
       const std::uint32_t block_size = cm.u32();
-      SUBFEDAVG_CHECK(block_size == channel_mask.block(b).size(),
-                      "channel mask block size");
-      for (std::uint32_t c = 0; c < block_size; ++c) {
-        channel_mask.block(b)[c] = cm.u8();
-      }
+      for (std::uint32_t c = 0; c < block_size; ++c) keep.push_back(cm.u8());
+      const Shape shape{keep.size()};
+      channels.add("block" + std::to_string(b), Tensor(shape, std::move(keep)));
     }
     SUBFEDAVG_CHECK(cm.done(), "trailing channel-mask bytes");
-    algorithm.client(k).restore(std::move(personal), std::move(weight_mask),
-                                std::move(channel_mask));
+    sections.push_back(std::move(channels));
   }
   SUBFEDAVG_CHECK(reader.done(), "trailing bytes in checkpoint");
+  algorithm.restore_checkpoint_state(std::move(sections));
 }
 
 }  // namespace subfed

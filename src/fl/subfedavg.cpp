@@ -28,18 +28,25 @@ StateDict channel_state(const ChannelMask& mask) {
   return state;
 }
 
-/// Installs a 3-section mirror {personal, weight mask, channel mask} into a
-/// live client (the inverse of SubFedAvg::sections_of). Consumes `sections`.
-void restore_into(SubFedAvgClient& client, std::span<StateDict> sections) {
-  SUBFEDAVG_CHECK(sections.size() == 3, "client " << client.id()
-                                                  << " state expects 3 sections, got "
+/// A client's mirror decoded into SubFedAvgClient::restore arguments.
+struct ClientMirror {
+  StateDict personal;
+  ModelMask weight_mask;
+  ChannelMask channel_mask;
+};
+
+/// Decodes a 3-section mirror {personal, weight mask, channel mask} (the
+/// inverse of SubFedAvg::sections_of), taking the architecture's block sizes
+/// from `channel_mask`. Malformed masks throw here, so a caller restoring
+/// many clients can reject the input before installing any. Consumes
+/// `sections`.
+ClientMirror decode_mirror(std::size_t k, std::span<StateDict> sections,
+                           ChannelMask channel_mask) {
+  SUBFEDAVG_CHECK(sections.size() == 3, "client " << k << " state expects 3 sections, got "
                                                   << sections.size());
-  StateDict personal = std::move(sections[0]);
   ModelMask weight_mask;
   for (auto& [name, tensor] : sections[1]) weight_mask.set(name, std::move(tensor));
-  // Start from the client's current mask to get the architecture's block
-  // sizes, then overwrite the keep bits from the section.
-  ChannelMask channel_mask = client.channel_mask();
+  weight_mask.check_binary();
   const StateDict& channels = sections[2];
   SUBFEDAVG_CHECK(channels.size() == channel_mask.num_blocks(), "channel mask block count");
   for (std::size_t b = 0; b < channel_mask.num_blocks(); ++b) {
@@ -47,10 +54,25 @@ void restore_into(SubFedAvgClient& client, std::span<StateDict> sections) {
     SUBFEDAVG_CHECK(keep != nullptr && keep->numel() == channel_mask.block(b).size(),
                     "channel mask block size");
     for (std::size_t c = 0; c < channel_mask.block(b).size(); ++c) {
-      channel_mask.block(b)[c] = (*keep)[c] != 0.0f ? 1 : 0;
+      const float flag = (*keep)[c];
+      SUBFEDAVG_CHECK(flag == 0.0f || flag == 1.0f, "client " << k << " channel mask block "
+                                                              << b << " holds " << flag
+                                                              << " (not 0 or 1)");
+      channel_mask.block(b)[c] = flag != 0.0f ? 1 : 0;
     }
   }
-  client.restore(std::move(personal), std::move(weight_mask), std::move(channel_mask));
+  channel_mask.check_valid();
+  return {std::move(sections[0]), std::move(weight_mask), std::move(channel_mask)};
+}
+
+void restore_mirror(SubFedAvgClient& client, ClientMirror mirror) {
+  client.restore(std::move(mirror.personal), std::move(mirror.weight_mask),
+                 std::move(mirror.channel_mask));
+}
+
+/// Installs a 3-section mirror into a live client. Consumes `sections`.
+void restore_into(SubFedAvgClient& client, std::span<StateDict> sections) {
+  restore_mirror(client, decode_mirror(client.id(), sections, client.channel_mask()));
 }
 
 }  // namespace
@@ -294,9 +316,16 @@ void SubFedAvg::restore_checkpoint_state(std::vector<StateDict> sections) {
   SUBFEDAVG_CHECK(sections.size() == 1 + 3 * num_clients(),
                   name() << " checkpoint expects " << 1 + 3 * num_clients()
                          << " sections, got " << sections.size());
+  // Decode and check every client's masks before installing anything.
+  const ChannelMask blocks = ChannelMask::ones_like(ctx_.spec.build());
+  std::vector<ClientMirror> mirrors;
+  mirrors.reserve(num_clients());
+  for (std::size_t k = 0; k < num_clients(); ++k) {
+    mirrors.push_back(decode_mirror(k, {sections.data() + 1 + 3 * k, 3}, blocks));
+  }
   global_ = std::move(sections[0]);
   for (std::size_t k = 0; k < num_clients(); ++k) {
-    restore_client_sections(k, {sections.data() + 1 + 3 * k, 3});
+    restore_mirror(*acquire(k), std::move(mirrors[k]));
   }
 }
 

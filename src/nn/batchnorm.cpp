@@ -15,9 +15,33 @@ BatchNorm2d::BatchNorm2d(std::string name, std::size_t channels, float momentum,
       running_mean_(name + ".running_mean", Tensor({channels}), /*is_prunable=*/false),
       running_var_(name + ".running_var", Tensor({channels}, 1.0f), /*is_prunable=*/false) {}
 
+void BatchNorm2d::set_kept_channels(KeptChannels kept) {
+  keep_ = checked_kept(std::move(kept), channels_, gamma_.name);
+  cached_input_ = Tensor();
+  cached_train_ = false;
+}
+
+GemmEpilogue BatchNorm2d::eval_epilogue() {
+  GemmEpilogue ep;
+  ep.eps = eps_;
+  const Parameter* terms[] = {&running_mean_, &running_var_, &gamma_, &beta_};
+  const float** slots[] = {&ep.mean, &ep.var, &ep.gamma, &ep.beta};
+  const std::size_t cc = kept_count(keep_, channels_);
+  if (!keep_.empty()) epilogue_view_.resize(4 * cc);
+  for (std::size_t t = 0; t < 4; ++t) {
+    *slots[t] = terms[t]->value.data();
+    if (keep_.empty()) continue;
+    float* view = epilogue_view_.data() + t * cc;
+    for (std::size_t c = 0; c < cc; ++c) view[c] = terms[t]->value[keep_[c]];
+    *slots[t] = view;
+  }
+  return ep;
+}
+
 Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
-  SUBFEDAVG_CHECK(input.shape().rank() == 4 && input.shape()[1] == channels_,
-                  "bn input " << input.shape().to_string() << " channels " << channels_);
+  const std::size_t cc = kept_count(keep_, channels_);
+  SUBFEDAVG_CHECK(input.shape().rank() == 4 && input.shape()[1] == cc,
+                  "bn input " << input.shape().to_string() << " channels " << cc);
   const std::size_t batch = input.shape()[0], h = input.shape()[2], w = input.shape()[3];
   const std::size_t spatial = h * w;
   const std::size_t per_channel = batch * spatial;
@@ -25,22 +49,22 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
   cached_train_ = train;
   Tensor output(input.shape());
 
-  Tensor mean({channels_}), var({channels_});
+  Tensor mean({cc}), var({cc});
   if (train) {
     // Batch statistics per channel over (N, H, W).
-    for (std::size_t c = 0; c < channels_; ++c) {
+    for (std::size_t c = 0; c < cc; ++c) {
       double acc = 0.0;
       for (std::size_t n = 0; n < batch; ++n) {
-        const float* plane = input.data() + (n * channels_ + c) * spatial;
+        const float* plane = input.data() + (n * cc + c) * spatial;
         for (std::size_t s = 0; s < spatial; ++s) acc += plane[s];
       }
       mean[c] = static_cast<float>(acc / per_channel);
     }
-    for (std::size_t c = 0; c < channels_; ++c) {
+    for (std::size_t c = 0; c < cc; ++c) {
       double acc = 0.0;
       const float m = mean[c];
       for (std::size_t n = 0; n < batch; ++n) {
-        const float* plane = input.data() + (n * channels_ + c) * spatial;
+        const float* plane = input.data() + (n * cc + c) * spatial;
         for (std::size_t s = 0; s < spatial; ++s) {
           const double d = plane[s] - m;
           acc += d * d;
@@ -48,30 +72,37 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
       }
       var[c] = static_cast<float>(acc / per_channel);  // biased, as in PyTorch forward
     }
-    // Update running stats with the unbiased variance.
+    // Update running stats with the unbiased variance. A pruned channel's
+    // full-width input is all zero, so its batch mean and variance are 0.
     const double bessel = per_channel > 1
                               ? static_cast<double>(per_channel) / (per_channel - 1)
                               : 1.0;
-    for (std::size_t c = 0; c < channels_; ++c) {
-      running_mean_.value[c] =
-          (1.0f - momentum_) * running_mean_.value[c] + momentum_ * mean[c];
-      running_var_.value[c] = (1.0f - momentum_) * running_var_.value[c] +
-                              momentum_ * static_cast<float>(var[c] * bessel);
+    for (std::size_t f = 0, c = 0; f < channels_; ++f) {
+      const bool kept = c < cc && full_index(keep_, c) == f;
+      const float batch_mean = kept ? mean[c] : 0.0f;
+      const float batch_var = kept ? static_cast<float>(var[c] * bessel) : 0.0f;
+      running_mean_.value[f] =
+          (1.0f - momentum_) * running_mean_.value[f] + momentum_ * batch_mean;
+      running_var_.value[f] = (1.0f - momentum_) * running_var_.value[f] + momentum_ * batch_var;
+      c += kept ? 1 : 0;
     }
     cached_input_ = input;
     batch_mean_ = mean;
     batch_var_ = var;
   } else {
-    mean = running_mean_.value;
-    var = running_var_.value;
+    for (std::size_t c = 0; c < cc; ++c) {
+      mean[c] = running_mean_.value[full_index(keep_, c)];
+      var[c] = running_var_.value[full_index(keep_, c)];
+    }
   }
 
-  for (std::size_t c = 0; c < channels_; ++c) {
+  for (std::size_t c = 0; c < cc; ++c) {
+    const std::size_t f = full_index(keep_, c);
     const float inv_std = 1.0f / std::sqrt(var[c] + eps_);
-    const float g = gamma_.value[c], b = beta_.value[c], m = mean[c];
+    const float g = gamma_.value[f], b = beta_.value[f], m = mean[c];
     for (std::size_t n = 0; n < batch; ++n) {
-      const float* in_plane = input.data() + (n * channels_ + c) * spatial;
-      float* out_plane = output.data() + (n * channels_ + c) * spatial;
+      const float* in_plane = input.data() + (n * cc + c) * spatial;
+      float* out_plane = output.data() + (n * cc + c) * spatial;
       for (std::size_t s = 0; s < spatial; ++s) {
         out_plane[s] = g * (in_plane[s] - m) * inv_std + b;
       }
@@ -84,22 +115,24 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(cached_train_ && !cached_input_.empty(),
                   "BatchNorm backward requires a training-mode forward");
   const Tensor& input = cached_input_;
-  const std::size_t batch = input.shape()[0], h = input.shape()[2], w = input.shape()[3];
+  const std::size_t batch = input.shape()[0], cc = input.shape()[1];
+  const std::size_t h = input.shape()[2], w = input.shape()[3];
   const std::size_t spatial = h * w;
   const std::size_t per_channel = batch * spatial;
   SUBFEDAVG_CHECK(grad_output.shape() == input.shape(), "bn grad shape");
 
   Tensor grad_input(input.shape());
-  for (std::size_t c = 0; c < channels_; ++c) {
+  for (std::size_t c = 0; c < cc; ++c) {
+    const std::size_t f = full_index(keep_, c);
     const float m = batch_mean_[c];
     const float inv_std = 1.0f / std::sqrt(batch_var_[c] + eps_);
-    const float g = gamma_.value[c];
+    const float g = gamma_.value[f];
 
     // Reductions: Σ dy, Σ dy·x̂.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
     for (std::size_t n = 0; n < batch; ++n) {
-      const float* in_plane = input.data() + (n * channels_ + c) * spatial;
-      const float* go_plane = grad_output.data() + (n * channels_ + c) * spatial;
+      const float* in_plane = input.data() + (n * cc + c) * spatial;
+      const float* go_plane = grad_output.data() + (n * cc + c) * spatial;
       for (std::size_t s = 0; s < spatial; ++s) {
         const float xhat = (in_plane[s] - m) * inv_std;
         sum_dy += go_plane[s];
@@ -107,20 +140,20 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
       }
     }
 
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+    gamma_.grad[f] += static_cast<float>(sum_dy_xhat);
+    beta_.grad[f] += static_cast<float>(sum_dy);
     if (l1_gamma_ > 0.0f) {
       // Network-slimming sparsity subgradient on γ.
-      const float gv = gamma_.value[c];
-      gamma_.grad[c] += l1_gamma_ * (gv > 0.0f ? 1.0f : (gv < 0.0f ? -1.0f : 0.0f));
+      const float gv = gamma_.value[f];
+      gamma_.grad[f] += l1_gamma_ * (gv > 0.0f ? 1.0f : (gv < 0.0f ? -1.0f : 0.0f));
     }
 
     // dx = γ·inv_std/N · (N·dy − Σdy − x̂·Σ(dy·x̂))
     const float k = g * inv_std / static_cast<float>(per_channel);
     for (std::size_t n = 0; n < batch; ++n) {
-      const float* in_plane = input.data() + (n * channels_ + c) * spatial;
-      const float* go_plane = grad_output.data() + (n * channels_ + c) * spatial;
-      float* gi_plane = grad_input.data() + (n * channels_ + c) * spatial;
+      const float* in_plane = input.data() + (n * cc + c) * spatial;
+      const float* go_plane = grad_output.data() + (n * cc + c) * spatial;
+      float* gi_plane = grad_input.data() + (n * cc + c) * spatial;
       for (std::size_t s = 0; s < spatial; ++s) {
         const float xhat = (in_plane[s] - m) * inv_std;
         gi_plane[s] = k * (static_cast<float>(per_channel) * go_plane[s] -

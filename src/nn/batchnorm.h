@@ -6,6 +6,7 @@
 // unimportant channels toward zero, exactly as slimming prescribes.
 #pragma once
 
+#include "nn/compact.h"
 #include "nn/layer.h"
 
 namespace subfed {
@@ -29,6 +30,18 @@ class BatchNorm2d final : public Layer {
   const Parameter& running_mean() const noexcept { return running_mean_; }
   const Parameter& running_var() const noexcept { return running_var_; }
 
+  /// Restricts the layer to kept channels (ascending; empty = all): inputs
+  /// are [N, kept, H, W] and batch statistics cover kept channels only. A
+  /// pruned channel's running mean and variance still decay as
+  /// (1−m)·r + m·0 per training forward — exactly what the full-width pass
+  /// computes for its all-zero input — so running stats match masking.
+  void set_kept_channels(KeptChannels kept);
+
+  /// Eval-mode conv→bn epilogue terms (mean, var, γ, β, eps) over the kept
+  /// channels, for Model's fused forward. The pointers stay valid until the
+  /// next call or parameter change.
+  GemmEpilogue eval_epilogue();
+
   /// L1 sparsity penalty applied to γ gradients during backward (0 = off).
   void set_l1_gamma(float strength) noexcept { l1_gamma_ = strength; }
   float l1_gamma() const noexcept { return l1_gamma_; }
@@ -39,6 +52,8 @@ class BatchNorm2d final : public Layer {
   float l1_gamma_ = 0.0f;
   Parameter gamma_, beta_;
   Parameter running_mean_, running_var_;
+  KeptChannels keep_;
+  std::vector<float> epilogue_view_;  // gathered [mean | var | γ | β] when compacted
 
   // Forward cache (training mode) for backward.
   Tensor cached_input_;

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "nn/compact.h"
 #include "nn/layer.h"
 #include "tensor/device.h"
 #include "tensor/gemm.h"
@@ -41,12 +42,27 @@ class Conv2d final : public Layer {
   Parameter& weight() noexcept { return weight_; }
   Parameter& bias() noexcept { return bias_; }
 
+  /// Restricts the layer to kept input/output channels (ascending full-layer
+  /// indices; empty = all, see nn/compact.h). Inputs and outputs are then
+  /// [N, kept in, H, W] / [N, kept out, oh, ow]; the GEMMs run on the
+  /// gathered [kept out × kept in·K·K] filter block and weight gradients
+  /// scatter back into the full-shape parameter. A change drops the cached
+  /// forward and advances the weight's mask epoch, since the gathered view's
+  /// sparsity pattern changed with it.
+  void set_kept_channels(KeptChannels in, KeptChannels out);
+
  private:
   Tensor forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue);
+  CompactedMatrix weight_matrix() const noexcept {
+    return {out_keep_, out_channels_, in_keep_, in_channels_, kernel_ * kernel_};
+  }
 
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   Parameter weight_;
   Parameter bias_;
+  KeptChannels in_keep_, out_keep_;
+  WorkspaceLease weight_view_;     // gathered kept filter block (compacted only)
+  std::vector<float> bias_view_;   // gathered kept biases for the fused epilogue
   Tensor cached_input_;  // [N, C, H, W] saved by forward for backward
   /// im2col patches [patch × N·spatial], leased from the layer's device and
   /// held across calls. Invariant: whenever cached_input_ is non-empty (only

@@ -1,6 +1,7 @@
 // Fully-connected layer: y = x·Wᵀ + b.
 #pragma once
 
+#include "nn/compact.h"
 #include "nn/layer.h"
 
 namespace subfed {
@@ -25,10 +26,26 @@ class Linear final : public Layer {
   Parameter& weight() noexcept { return weight_; }
   Parameter& bias() noexcept { return bias_; }
 
+  /// Restricts the input to kept channels of a flattened conv output: input
+  /// features form channels of `width` consecutive columns, and only the
+  /// kept ones (ascending; empty = all) arrive, as [N, kept·width]. The
+  /// GEMMs run on the gathered kept weight columns; weight gradients scatter
+  /// back. A change drops the cached forward and advances the weight's mask
+  /// epoch.
+  void set_kept_inputs(KeptChannels channels, std::size_t width);
+
  private:
+  CompactedMatrix weight_matrix() const noexcept {
+    return {kAllRows, out_features_, in_keep_, in_features_ / in_width_, in_width_};
+  }
+
+  static inline const KeptChannels kAllRows{};
   std::size_t in_features_, out_features_;
   Parameter weight_;
   Parameter bias_;
+  KeptChannels in_keep_;
+  std::size_t in_width_ = 1;       // input columns per channel
+  WorkspaceLease weight_view_;     // gathered kept columns (compacted only)
   Tensor cached_input_;  // [N, in]
 };
 

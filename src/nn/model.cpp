@@ -3,6 +3,7 @@
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "nn/linear.h"
 #include "util/check.h"
 
 namespace subfed {
@@ -21,12 +22,7 @@ Tensor Model::forward(const Tensor& input, bool train) {
       const FusePlan& plan = plans[i];
       if (plan.bn != nullptr) {
         auto* conv = static_cast<Conv2d*>(layers_[i].get());
-        GemmEpilogue ep;
-        ep.mean = plan.bn->running_mean().value.data();
-        ep.var = plan.bn->running_var().value.data();
-        ep.gamma = plan.bn->gamma().value.data();
-        ep.beta = plan.bn->beta().value.data();
-        ep.eps = plan.bn->eps();
+        GemmEpilogue ep = plan.bn->eval_epilogue();
         ep.relu = plan.relu;
         x = conv->forward_fused(*cur, ep);
         i += 1 + plan.skip;
@@ -125,6 +121,34 @@ std::size_t Model::num_parameters() const {
   auto* self = const_cast<Model*>(this);
   for (Parameter* p : self->parameters()) n += p->value.numel();
   return n;
+}
+
+void Model::set_kept_channels(const std::vector<std::vector<std::uint8_t>>& keep) {
+  const std::vector<ConvBlock>& blocks = topology_.conv_blocks;
+  SUBFEDAVG_CHECK(keep.empty() || keep.size() == blocks.size(),
+                  "keep flags for " << keep.size() << " blocks, model has " << blocks.size());
+  std::vector<KeptChannels> kept(blocks.size());
+  for (std::size_t b = 0; b < keep.size(); ++b) {
+    SUBFEDAVG_CHECK(keep[b].size() == blocks[b].conv->out_channels(),
+                    "block " << b << " keep flags " << keep[b].size() << " vs "
+                             << blocks[b].conv->out_channels() << " channels");
+    for (std::size_t c = 0; c < keep[b].size(); ++c) {
+      if (keep[b][c] != 0) kept[b].push_back(c);
+    }
+    SUBFEDAVG_CHECK(!kept[b].empty(), "block " << b << " keeps no channel");
+  }
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const ConvBlock& block = blocks[b];
+    KeptChannels in;  // kept outputs of the block feeding this conv, if any
+    for (std::size_t p = 0; p < blocks.size(); ++p) {
+      if (blocks[p].next_conv == block.conv) in = kept[p];
+    }
+    block.conv->set_kept_channels(std::move(in), kept[b]);
+    if (block.bn != nullptr) block.bn->set_kept_channels(kept[b]);
+    if (block.next_fc != nullptr) {
+      block.next_fc->set_kept_inputs(kept[b], block.spatial_per_channel);
+    }
+  }
 }
 
 void Model::set_bn_l1(float strength) {

@@ -86,6 +86,18 @@ class Model {
   ModelTopology& topology() noexcept { return topology_; }
   const ModelTopology& topology() const noexcept { return topology_; }
 
+  /// Channel compaction: runs every conv block on its kept channels only.
+  /// `keep` holds one flag vector per topology conv block (nonzero = kept),
+  /// as ChannelMask::blocks() does; an empty `keep` restores full width.
+  /// Each block's conv output rows, BatchNorm channels and its consumer's
+  /// inputs (next conv's input planes or the first FC layer's columns)
+  /// shrink to the kept channels; parameters, gradients and the optimizer
+  /// stay full-shape. Bit-identical to applying the channel mask to the
+  /// weights and running at full width (tests/test_compaction.cpp). The keep
+  /// flags must come from the channel mask, never from weight values: an
+  /// unmasked all-zero row can grow back under SGD.
+  void set_kept_channels(const std::vector<std::vector<std::uint8_t>>& keep);
+
   /// Sets the slimming L1 strength on every BatchNorm layer.
   void set_bn_l1(float strength);
 

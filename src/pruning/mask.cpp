@@ -55,6 +55,20 @@ void ModelMask::set(const std::string& name, Tensor mask) {
   entries_.emplace_back(name, std::move(mask));
 }
 
+void ModelMask::check_binary() const {
+  for (const auto& [name, t] : entries_) {
+    // Branch-free scan first: restores run this on every client exchange.
+    const float* v = t.data();
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < t.numel(); ++i) bad += (v[i] != 0.0f) & (v[i] != 1.0f);
+    if (bad == 0) continue;
+    const std::size_t i = static_cast<std::size_t>(
+        std::find_if(v, v + t.numel(), [](float x) { return x != 0.0f && x != 1.0f; }) - v);
+    SUBFEDAVG_CHECK(false, "mask '" << name << "' entry " << i << " is " << v[i]
+                                    << " (not 0 or 1)");
+  }
+}
+
 void ModelMask::apply_to_weights(Model& model) const {
   for (Parameter* p : model.parameters()) {
     if (const Tensor* m = find(p->name)) {

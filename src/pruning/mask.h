@@ -38,6 +38,11 @@ class ModelMask {
   /// Adds/replaces the mask for one parameter (values must be 0 or 1).
   void set(const std::string& name, Tensor mask);
 
+  /// Throws CheckError unless every entry is exactly 0 or 1 (an entry of 2
+  /// would scale a weight at apply_to_weights). Restores of outside bytes
+  /// call this before installing a mask.
+  void check_binary() const;
+
   /// weights ← weights ⊙ mask, for covered parameters.
   void apply_to_weights(Model& model) const;
   /// grads ← grads ⊙ mask; keeps pruned weights frozen at zero across

@@ -26,6 +26,13 @@ class ChannelMask {
   std::size_t num_blocks() const noexcept { return keep_.size(); }
   const std::vector<std::uint8_t>& block(std::size_t b) const;
   std::vector<std::uint8_t>& block(std::size_t b);
+  /// Every block's keep flags, in the form Model::set_kept_channels takes.
+  const std::vector<std::vector<std::uint8_t>>& blocks() const noexcept { return keep_; }
+
+  /// Throws CheckError unless every flag is 0 or 1 and every block keeps at
+  /// least one channel — the masks derive_channel_mask produces. Restores of
+  /// outside bytes (checkpoints, mirrors) call this before installing a mask.
+  void check_valid() const;
 
   std::size_t total_channels() const noexcept;
   std::size_t kept_channels() const noexcept;

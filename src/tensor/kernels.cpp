@@ -442,6 +442,32 @@ Csr Csr::pack_transposed(const float* data, std::size_t rows, std::size_t cols) 
 
 namespace {
 
+/// Whether the compiler contracts the dense tiles' `acc += a·b` into a fused
+/// multiply-add where the ISA has one: Clang always does (-ffp-contract=on),
+/// GCC only in optimized builds (contraction is one of its passes).
+#if defined(__clang__) || defined(__OPTIMIZE__)
+constexpr bool kTilesContract = true;
+#else
+constexpr bool kTilesContract = false;
+#endif
+
+/// One multiply-add term of the sparse kernels, rounded the way the dense
+/// register tiles round theirs: fused in the AVX2+FMA build when the tiles
+/// are contracted, multiply-then-add otherwise. Spelled out because GCC's
+/// vectorizer would otherwise split the CSR dot product into a vector
+/// multiply and an in-order scalar add. With every term rounded alike, and a
+/// dropped zero term never changing a sum, CSR and dense dispatch of the
+/// same GEMM produce identical bits.
+template <bool kFma>
+SUBFED_ALWAYS_INLINE float madd(float a, float b, float acc) noexcept {
+  if constexpr (kFma && kTilesContract) {
+    return __builtin_fmaf(a, b, acc);
+  } else {
+    return acc + a * b;
+  }
+}
+
+template <bool kFma>
 SUBFED_ALWAYS_INLINE void sparse_axpy_body(const std::uint32_t* row_begin,
                                            const std::uint32_t* col, const float* val,
                                            const float* b, float* c, std::size_t n,
@@ -453,11 +479,12 @@ SUBFED_ALWAYS_INLINE void sparse_axpy_body(const std::uint32_t* row_begin,
     for (std::uint32_t e = row_begin[i]; e < row_begin[i + 1]; ++e) {
       const float av = val[e];
       const float* brow = b + col[e] * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      for (std::size_t j = 0; j < n; ++j) crow[j] = madd<kFma>(av, brow[j], crow[j]);
     }
   }
 }
 
+template <bool kFma>
 SUBFED_ALWAYS_INLINE void sparse_dot_body(const std::uint32_t* row_begin,
                                           const std::uint32_t* col, const float* val,
                                           const float* a, float* c, std::size_t k,
@@ -469,7 +496,7 @@ SUBFED_ALWAYS_INLINE void sparse_dot_body(const std::uint32_t* row_begin,
     for (std::size_t j = 0; j < n; ++j) {
       float acc = 0.0f;
       for (std::uint32_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
-        acc += arow[col[e]] * val[e];
+        acc = madd<kFma>(arow[col[e]], val[e], acc);
       }
       crow[j] = accumulate ? crow[j] + acc : acc;
     }
@@ -482,14 +509,14 @@ SUBFED_AVX2_TARGET void sparse_axpy_panel_avx2(const std::uint32_t* row_begin,
                                                const float* b, float* c, std::size_t n,
                                                std::size_t i0, std::size_t i1,
                                                bool accumulate) {
-  sparse_axpy_body(row_begin, col, val, b, c, n, i0, i1, accumulate);
+  sparse_axpy_body<true>(row_begin, col, val, b, c, n, i0, i1, accumulate);
 }
 SUBFED_AVX2_TARGET void sparse_dot_panel_avx2(const std::uint32_t* row_begin,
                                               const std::uint32_t* col, const float* val,
                                               const float* a, float* c, std::size_t k,
                                               std::size_t n, std::size_t i0,
                                               std::size_t i1, bool accumulate) {
-  sparse_dot_body(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
+  sparse_dot_body<true>(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
 }
 #endif
 
@@ -504,7 +531,7 @@ void sparse_axpy_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
     return;
   }
 #endif
-  sparse_axpy_body(row_begin, col, val, b, c, n, i0, i1, accumulate);
+  sparse_axpy_body<false>(row_begin, col, val, b, c, n, i0, i1, accumulate);
 }
 
 void sparse_dot_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
@@ -516,7 +543,7 @@ void sparse_dot_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
     return;
   }
 #endif
-  sparse_dot_body(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
+  sparse_dot_body<false>(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
 }
 
 }  // namespace kern

@@ -3,8 +3,10 @@
 // sparsity reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "comm/quantize.h"
@@ -266,6 +268,136 @@ TEST_F(CheckpointTest, RejectsMissingAndCorruptFiles) {
   std::fputs("garbage", f);
   std::fclose(f);
   EXPECT_THROW(load_subfedavg_checkpoint(alg, path), CheckError);
+  std::remove(path.c_str());
+}
+
+/// A Sub-FedAvg (Hy) federation a few rounds in, its checkpoint written by
+/// save_checkpoint (SFCG) or save_subfedavg_checkpoint (legacy SFCP).
+class HybridCheckpointTest : public CheckpointTest {
+ protected:
+  static SubFedAvgConfig hybrid_config() {
+    SubFedAvgConfig c = config();
+    c.hybrid = true;
+    c.structured = {0.0, 0.5, 0.0, 0.25};
+    return c;
+  }
+
+  static std::vector<std::uint8_t> read_bytes(const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    std::vector<std::uint8_t> bytes;
+    for (int ch = std::fgetc(f); ch != EOF; ch = std::fgetc(f)) {
+      bytes.push_back(static_cast<std::uint8_t>(ch));
+    }
+    std::fclose(f);
+    return bytes;
+  }
+
+  static void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+
+  /// Loading `path` into a federation that has trained its own rounds must
+  /// throw and leave every client (and the server) exactly as it was.
+  void expect_rejected_without_restoring(const std::string& path, bool legacy,
+                                         const std::string& label) {
+    SubFedAvg target(ctx(), hybrid_config());
+    DriverConfig driver{/*rounds=*/1, /*sample_rate=*/1.0, 0, 5};
+    run_federation(target, driver);
+    const std::vector<std::uint8_t> before = checkpoint_bytes(target);
+    if (legacy) {
+      EXPECT_THROW(load_subfedavg_checkpoint(target, path), CheckError) << label;
+    } else {
+      EXPECT_THROW(load_checkpoint(target, path), CheckError) << label;
+    }
+    EXPECT_TRUE(checkpoint_bytes(target) == before) << label << ": a client was restored";
+  }
+};
+
+TEST_F(HybridCheckpointTest, SfcgRestoreRejectsMalformedMasksBeforeAnyClient) {
+  SubFedAvg original(ctx(), hybrid_config());
+  DriverConfig driver{/*rounds=*/2, /*sample_rate=*/1.0, 0, 77};
+  run_federation(original, driver);
+  const std::string path = ::testing::TempDir() + "/subfed_hy_sfcg.bin";
+  save_checkpoint(original, path);
+  const std::vector<StateDict> saved =
+      decode_state_sections(read_bytes(path), original.name());
+  // Sections: global, then {personal, weight mask, channel mask} per client.
+  // Edits target the LAST client, so a loader that validated while
+  // restoring would already have installed the others.
+  const std::size_t last = 1 + 3 * (original.num_clients() - 1);
+
+  struct Edit {
+    const char* label;
+    void (*apply)(std::vector<StateDict>& sections, std::size_t last);
+  };
+  const Edit edits[] = {
+      {"channel flag 2", [](std::vector<StateDict>& s, std::size_t c) {
+         (*s[c + 2].find("block0"))[0] = 2.0f;
+       }},
+      {"channel flag 0.5", [](std::vector<StateDict>& s, std::size_t c) {
+         (*s[c + 2].find("block1"))[0] = 0.5f;
+       }},
+      {"block keeps no channel", [](std::vector<StateDict>& s, std::size_t c) {
+         s[c + 2].find("block1")->zero();
+       }},
+      {"weight mask entry 2", [](std::vector<StateDict>& s, std::size_t c) {
+         s[c + 1][0].second[0] = 2.0f;
+       }},
+  };
+  for (const Edit& edit : edits) {
+    std::vector<StateDict> sections = saved;
+    edit.apply(sections, last);
+    write_bytes(path, encode_state_sections(original.name(), sections));
+    expect_rejected_without_restoring(path, /*legacy=*/false, edit.label);
+  }
+
+  // The unedited checkpoint still restores.
+  write_bytes(path, encode_state_sections(original.name(), saved));
+  SubFedAvg restored(ctx(), hybrid_config());
+  load_checkpoint(restored, path);
+  EXPECT_EQ(checkpoint_bytes(restored), checkpoint_bytes(original));
+  std::remove(path.c_str());
+}
+
+TEST_F(HybridCheckpointTest, LegacyRestoreRejectsMalformedMasksBeforeAnyClient) {
+  SubFedAvg original(ctx(), hybrid_config());
+  DriverConfig driver{/*rounds=*/2, /*sample_rate=*/1.0, 0, 77};
+  run_federation(original, driver);
+  const std::string path = ::testing::TempDir() + "/subfed_hy_sfcp.bin";
+  save_subfedavg_checkpoint(original, path);
+  const std::vector<std::uint8_t> saved = read_bytes(path);
+
+  // The file ends with the last client's weight-mask blob (dense floats, its
+  // final entry last) and channel-mask blob: u32 length, u32 block count,
+  // then per block a u32 size and one raw keep byte per channel (cnn5: 10
+  // and 20 channels).
+  const std::size_t channel_blob = 4 + 4 + 10 + 4 + 20;
+  const std::size_t block0 = saved.size() - channel_blob + 8;
+  const std::size_t block1 = saved.size() - 20;
+  const std::size_t last_mask_float = saved.size() - channel_blob - 4 - 4;
+
+  std::vector<std::uint8_t> bytes = saved;
+  bytes[block0] = 2;  // "kept" to to_model_mask, yet differing from 1 in Δ
+  write_bytes(path, bytes);
+  expect_rejected_without_restoring(path, /*legacy=*/true, "channel byte 2");
+
+  bytes = saved;
+  std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(block1), bytes.end(), 0);
+  write_bytes(path, bytes);
+  expect_rejected_without_restoring(path, /*legacy=*/true, "block keeps no channel");
+
+  bytes = saved;
+  const float two = 2.0f;
+  std::memcpy(bytes.data() + last_mask_float, &two, sizeof(two));
+  write_bytes(path, bytes);
+  expect_rejected_without_restoring(path, /*legacy=*/true, "weight mask entry 2");
+
+  write_bytes(path, saved);
+  SubFedAvg restored(ctx(), hybrid_config());
+  load_subfedavg_checkpoint(restored, path);
+  EXPECT_EQ(checkpoint_bytes(restored), checkpoint_bytes(original));
   std::remove(path.c_str());
 }
 

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/subfedavg_client.h"
+#include "data/client_data.h"
 #include "fl/experiment.h"
 #include "serve/session.h"
 #include "telemetry/event_log.h"
@@ -21,6 +23,7 @@
 #include "util/check.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace subfed {
 namespace {
@@ -358,6 +361,52 @@ TEST(TelemetryIntegration, LoopbackSessionEmitsAllSixRoundPhases) {
   ASSERT_NE(events, nullptr);
   EXPECT_GE(events->array.size(), 6u);
   std::filesystem::remove(path);
+}
+
+TEST(TelemetryIntegration, CompactedForwardCountsHybridRoundsOnly) {
+  set_log_level(LogLevel::kWarn);
+  LevelGuard guard(telemetry::Level::kCounters);
+  telemetry::Counter& compacted = telemetry::counter("nn.compacted_forward");
+
+  // One Sub-FedAvg (Hy) client round with channels pruned: every conv
+  // forward of its training and validation passes runs compacted.
+  FederatedDataConfig config;
+  config.partition = {2, 2, 20};
+  config.test_per_class = 4;
+  config.seed = 5;
+  const FederatedData data(DatasetSpec::mnist(), config);
+  const ModelSpec model_spec = ModelSpec::cnn5(10);
+  SubFedAvgConfig hybrid;
+  hybrid.hybrid = true;
+  hybrid.train = {/*epochs=*/1, /*batch=*/10};
+  SubFedAvgClient client(0, model_spec, hybrid, &data.client(0), Rng(6));
+  Rng init(7);
+  const StateDict global = model_spec.build_init(init).state();
+  ChannelMask channels = client.channel_mask();
+  channels.block(0)[3] = 0;
+  channels.block(1)[0] = 0;
+  client.restore(global, client.weight_mask(), channels);
+  compacted.reset();
+  client.run_round(global, 0);
+  EXPECT_GT(compacted.value(), 0u);
+
+  // One FedAvg round never sets a channel mask: nothing compacts.
+  compacted.reset();
+  ExperimentSpec spec;
+  spec.dataset = "mnist";
+  spec.clients = 4;
+  spec.shard = 20;
+  spec.test_per_class = 4;
+  spec.rounds = 1;
+  spec.epochs = 1;
+  spec.sample = 0.5;
+  spec.seed = 8;
+  spec.algo = "fedavg";
+  spec.telemetry = "counters";
+  std::unique_ptr<FederationSession> session = FederationSession::from_spec(spec);
+  session->advance_round();
+  session->evaluate();
+  EXPECT_EQ(compacted.value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
