@@ -12,7 +12,9 @@
 
 #include "core/aggregate.h"
 #include "nn/conv2d.h"
+#include "nn/loss.h"
 #include "nn/model_zoo.h"
+#include "nn/sgd.h"
 #include "pruning/structured.h"
 #include "pruning/unstructured.h"
 #include "tensor/backend.h"
@@ -203,6 +205,42 @@ void BM_ConvForwardBackwardCompacted(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_ConvForwardBackwardCompacted)->Arg(0)->Arg(1);
+
+/// args: {compacted} — one whole LeNet-5 train step at batch 10 (train
+/// forward, softmax-CE, Model::backward, Sgd::step) on one thread (blocked
+/// backend), under BM_ConvForwardBackwardCompacted's 2/9 channel mask: masked
+/// at full width vs compacted to the kept channels. Unlike the conv2 block row
+/// this prices what the step spends outside the pruned GEMMs (conv1's weight
+/// gradient, the optimizer, activations), which compaction cannot shrink.
+void BM_ConvForwardTrainStep(benchmark::State& state) {
+  const std::size_t prev_threads = math_threads();
+  set_math_threads(1);
+  Rng rng(2);
+  ModelSpec spec = ModelSpec::lenet5(10);
+  spec.backend = "blocked";
+  Model model = spec.build_init(rng);
+  ChannelMask mask = ChannelMask::ones_like(model);
+  mask.block(0) = {1, 0, 0, 1, 0, 0};
+  for (std::size_t c = 0; c < 16; ++c) mask.block(1)[c] = c < 9 ? 1 : 0;
+  mask.to_model_mask(model).apply_to_weights(model);
+  if (state.range(0) != 0) model.set_kept_channels(mask.blocks());
+  Sgd optimizer(model.parameters(), SgdConfig{});
+
+  Tensor x({10, 3, 32, 32});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  std::vector<std::int32_t> labels(10);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<std::int32_t>(i);
+  for (auto _ : state) {
+    Tensor logits = model.forward(x, /*train=*/true);
+    model.backward(softmax_cross_entropy(logits, labels).grad_logits);
+    optimizer.step();
+    benchmark::DoNotOptimize(logits.data());
+  }
+  set_math_threads(prev_threads);
+  state.SetLabel(state.range(0) != 0 ? "compacted" : "masked");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
+}
+BENCHMARK(BM_ConvForwardTrainStep)->Arg(0)->Arg(1);
 
 void BM_MagnitudeMaskDerivation(benchmark::State& state) {
   Rng rng(3);

@@ -124,11 +124,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(grad_output.shape() == Shape({batch, co, oh, ow}),
                   "grad_output shape " << grad_output.shape().to_string());
 
-  Tensor grad_input(input.shape());
   const Device& dev = device();
   const std::size_t cols = batch * spatial;
-  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
-  WorkspaceLease grad_columns = dev.lease(g.patch_size() * cols);
   WorkspaceLease grad_packed = dev.lease(co * cols);
 
   // Regroup dY [N, oc, spatial] → [oc, N·spatial] so both weight and input
@@ -162,7 +159,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     bias_.grad[full_index(out_keep_, oc)] += acc;
   }
 
+  if (!input_grad()) return Tensor();  // first layer: nobody reads dX
+
   // dCols[ckk, N·spatial] = Wᵀ[ckk, oc] · dY[oc, N·spatial]; scatter per sample.
+  Tensor grad_input(input.shape());
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  WorkspaceLease grad_columns = dev.lease(g.patch_size() * cols);
   dev.gemm(GemmOp::kTN, view.gathered(weight_.value.data(), weight_view_, dev),
            grad_packed.data(), grad_columns.data(),
            g.patch_size(), co, cols, /*accumulate=*/false, WeightSide::kA, weight_.uid,

@@ -43,8 +43,17 @@ class Layer {
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
-  /// dLoss/dInput. Must be called after forward with matching shapes.
+  /// dLoss/dInput. Must be called after forward with matching shapes. With
+  /// input gradients switched off (see set_input_grad) the GEMM-backed layers
+  /// return an empty tensor instead.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// Whether backward must produce dLoss/dInput (default on). Model switches
+  /// it off for its first layer, whose input gradient has no consumer; Conv2d
+  /// and Linear then skip that GEMM (and conv its col2im) entirely. Parameter
+  /// gradients are unaffected.
+  void set_input_grad(bool needed) noexcept { input_grad_ = needed; }
+  bool input_grad() const noexcept { return input_grad_; }
 
   /// Learnable parameters (empty for stateless layers). Pointers remain valid
   /// for the life of the layer.
@@ -58,6 +67,7 @@ class Layer {
 
  private:
   const Device* device_ = nullptr;  ///< nullptr → default_device()
+  bool input_grad_ = true;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

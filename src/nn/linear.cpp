@@ -78,6 +78,8 @@ Tensor Linear::backward(const Tensor& grad_output) {
     for (std::size_t o = 0; o < out_features_; ++o) bias_.grad[o] += row[o];
   }
 
+  if (!input_grad()) return Tensor();  // first layer: nobody reads dX
+
   // dX[N, in] = dY[N, out] · W[out, in]
   Tensor grad_input({batch, in});
   device().gemm(GemmOp::kNN, grad_output.data(),

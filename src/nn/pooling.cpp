@@ -17,7 +17,9 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
 
   input_shape_ = input.shape();
   Tensor output({batch, channels, oh, ow});
-  argmax_.assign(output.numel(), 0);
+  argmax_.resize(output.numel());
+  float* out = output.data();
+  std::size_t* argmax = argmax_.data();
 
   std::size_t out_idx = 0;
   for (std::size_t n = 0; n < batch; ++n) {
@@ -37,8 +39,8 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
               }
             }
           }
-          output[out_idx] = best_val;
-          argmax_[out_idx] = (n * channels + c) * h * w + best;
+          out[out_idx] = best_val;
+          argmax[out_idx] = (n * channels + c) * h * w + best;
         }
       }
     }
@@ -48,10 +50,11 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(grad_output.numel() == argmax_.size(), "pool backward before forward");
+  // argmax_ indexes the forward input, whose shape this gradient takes.
   Tensor grad_input(input_shape_);
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    grad_input[argmax_[i]] += grad_output[i];
-  }
+  float* gi = grad_input.data();
+  const float* go = grad_output.data();
+  for (std::size_t i = 0; i < argmax_.size(); ++i) gi[argmax_[i]] += go[i];
   return grad_input;
 }
 

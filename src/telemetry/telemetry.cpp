@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <pthread.h>
 #include <sstream>
 
 #include "util/check.h"
@@ -43,6 +44,9 @@ class Registry {
     for (const auto& [name, instrument] : entries_) fn(name, *instrument);
   }
 
+  /// Held across fork() by the handlers below.
+  std::mutex& mutex() noexcept { return mutex_; }
+
  private:
   std::mutex mutex_;
   std::map<std::string, std::unique_ptr<T>> entries_;
@@ -64,6 +68,27 @@ Registry<Timer>& timers() {
   static Registry<Timer> r;
   return r;
 }
+
+// A fork() landing while another thread registers an instrument would leave
+// the single-threaded child blocked in counter()/timer(): hold every registry
+// mutex across the fork and release it on both sides.
+void lock_registries_for_fork() noexcept {
+  counters().mutex().lock();
+  gauges().mutex().lock();
+  histograms().mutex().lock();
+  timers().mutex().lock();
+}
+
+void unlock_registries_after_fork() noexcept {
+  timers().mutex().unlock();
+  histograms().mutex().unlock();
+  gauges().mutex().unlock();
+  counters().mutex().unlock();
+}
+
+[[maybe_unused]] const bool kRegistryForkHandlers =
+    ::pthread_atfork(&lock_registries_for_fork, &unlock_registries_after_fork,
+                     &unlock_registries_after_fork) == 0;
 
 void append_json_name(std::ostringstream& os, const std::string& name) {
   os << '"';

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <pthread.h>
 #include <sstream>
 
 #include "util/check.h"
@@ -57,6 +58,23 @@ SpanBuffer& this_thread_buffer() {
   }();
   return *buffer;
 }
+
+// A fork() landing while another thread drains spans (or registers its
+// buffer) would leave the child blocked in record_span(): hold the buffer list
+// and every buffer, in drain_spans' order, across the fork.
+void lock_buffers_for_fork() noexcept {
+  buffers_mutex().lock();
+  for (const std::shared_ptr<SpanBuffer>& buffer : buffers()) buffer->mutex.lock();
+}
+
+void unlock_buffers_after_fork() noexcept {
+  for (const std::shared_ptr<SpanBuffer>& buffer : buffers()) buffer->mutex.unlock();
+  buffers_mutex().unlock();
+}
+
+[[maybe_unused]] const bool kBufferForkHandlers =
+    ::pthread_atfork(&lock_buffers_for_fork, &unlock_buffers_after_fork,
+                     &unlock_buffers_after_fork) == 0;
 
 }  // namespace
 

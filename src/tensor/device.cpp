@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <new>
+#include <pthread.h>
 #include <unordered_map>
 #include <utility>
 
@@ -452,6 +453,27 @@ std::map<std::pair<std::string, int>, Device*>& registry() {
 }
 
 }  // namespace
+
+void Device::lock_for_fork() noexcept {
+  registry_mutex().lock();
+  for (auto& [key, device] : registry()) {
+    device->impl_->plan_mu.lock();
+    device->impl_->pool_mu.lock();
+  }
+}
+
+void Device::unlock_after_fork() noexcept {
+  for (auto& [key, device] : registry()) {
+    device->impl_->pool_mu.unlock();
+    device->impl_->plan_mu.unlock();
+  }
+  registry_mutex().unlock();
+}
+
+// Registered during static initialization, before any thread can fork.
+const bool Device::fork_handlers_registered_ =
+    ::pthread_atfork(&Device::lock_for_fork, &Device::unlock_after_fork,
+                     &Device::unlock_after_fork) == 0;
 
 const Device& get_device(const std::string& backend, ComputeDType dtype) {
   SUBFEDAVG_CHECK(has_math_backend(backend),

@@ -152,6 +152,15 @@ class Device {
   friend class WorkspaceLease;
   struct Impl;
 
+  /// pthread_atfork handlers: a fork() landing while another thread holds a
+  /// registered device's plan or pool mutex would leave the single-threaded
+  /// child blocked forever in gemm()/lease(). The prepare handler takes the
+  /// registry mutex, then every registered device's plan_mu and pool_mu; the
+  /// parent and child handlers release them.
+  static void lock_for_fork() noexcept;
+  static void unlock_after_fork() noexcept;
+  static const bool fork_handlers_registered_;
+
   void release(float* data, std::size_t floats) const noexcept;
   void execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                std::size_t m, std::size_t k, std::size_t n, bool accumulate,

@@ -1,5 +1,6 @@
 #include "tensor/gemm.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace subfed {
@@ -74,6 +75,23 @@ void col2im(const float* columns, const ConvGeometry& g, float* image) noexcept 
   col2im_strided(columns, g, image, g.out_h() * g.out_w(), 0);
 }
 
+namespace {
+
+/// Output columns [lo, hi) whose tap at kernel offset `k` lands inside an
+/// input extent of `in` at stride 1 (input index = out + k − pad); empty
+/// (lo == hi) when the tap only ever reads the padded halo.
+struct InBounds {
+  std::size_t lo, hi;
+};
+
+InBounds stride1_span(std::size_t k, std::size_t pad, std::size_t in, std::size_t out) noexcept {
+  const std::size_t lo = std::min(out, pad > k ? pad - k : 0);
+  const std::size_t end = in + pad > k ? in + pad - k : 0;  // first out-of-bounds column
+  return {lo, std::max(lo, std::min(out, end))};
+}
+
+}  // namespace
+
 void im2col_strided(const float* image, const ConvGeometry& g, float* columns,
                     std::size_t col_stride, std::size_t col_offset) noexcept {
   const std::size_t oh = g.out_h(), ow = g.out_w();
@@ -83,6 +101,26 @@ void im2col_strided(const float* image, const ConvGeometry& g, float* columns,
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
         float* out = columns + row * col_stride + col_offset;
+        if (g.stride == 1) {
+          // Each output row is one contiguous input span plus a zero halo.
+          const InBounds ys = stride1_span(ky, g.pad, g.in_h, oh);
+          const InBounds xs = stride1_span(kx, g.pad, g.in_w, ow);
+          if (xs.lo == xs.hi) {
+            std::memset(out, 0, oh * ow * sizeof(float));
+            continue;
+          }
+          const std::size_t x0 = xs.lo + kx - g.pad;  // input column of the first kept tap
+          std::memset(out, 0, ys.lo * ow * sizeof(float));
+          for (std::size_t y = ys.lo; y < ys.hi; ++y) {
+            float* dst = out + y * ow;
+            std::memset(dst, 0, xs.lo * sizeof(float));
+            std::memcpy(dst + xs.lo, plane + (y + ky - g.pad) * g.in_w + x0,
+                        (xs.hi - xs.lo) * sizeof(float));
+            std::memset(dst + xs.hi, 0, (ow - xs.hi) * sizeof(float));
+          }
+          std::memset(out + ys.hi * ow, 0, (oh - ys.hi) * ow * sizeof(float));
+          continue;
+        }
         for (std::size_t y = 0; y < oh; ++y) {
           // Input row for this output row; may fall in the padded halo.
           const std::ptrdiff_t iy =
@@ -115,6 +153,19 @@ void col2im_strided(const float* columns, const ConvGeometry& g, float* image,
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
         const float* in = columns + row * col_stride + col_offset;
+        if (g.stride == 1) {
+          // Same (y, x) order and additions as below, minus the bounds tests.
+          const InBounds ys = stride1_span(ky, g.pad, g.in_h, oh);
+          const InBounds xs = stride1_span(kx, g.pad, g.in_w, ow);
+          const std::size_t x0 = xs.lo + kx - g.pad;  // as in im2col_strided
+          const std::size_t width = xs.hi - xs.lo;
+          for (std::size_t y = ys.lo; y < ys.hi && width > 0; ++y) {
+            float* dst = plane + (y + ky - g.pad) * g.in_w + x0;
+            const float* src = in + y * ow + xs.lo;
+            for (std::size_t x = 0; x < width; ++x) dst[x] += src[x];
+          }
+          continue;
+        }
         for (std::size_t y = 0; y < oh; ++y) {
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(y * g.stride + ky) - static_cast<std::ptrdiff_t>(g.pad);

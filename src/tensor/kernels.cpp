@@ -112,15 +112,20 @@ SUBFED_NOINLINE void epilogue_store(const float* src, float* dst, std::size_t co
   const float g = has_bn ? ep.gamma[row] : 0.0f;
   const float b = has_bn ? ep.beta[row] : 0.0f;
   const float m = has_bn ? ep.mean[row] : 0.0f;
-  for (std::size_t j = 0; j < count; ++j) {
-    float y = accumulate ? dst[j] + src[j] : src[j];
-    // Conv2d adds its bias only when nonzero (the zero case is a memcpy), so
-    // the fused path must skip the add too: y + 0.0f would turn -0.0 into
-    // +0.0 and break bit-identity.
-    if (bias != 0.0f) y += bias;
-    if (has_bn) y = g * (y - m) * inv_std + b;
-    if (ep.relu && !(y > 0.0f)) y = 0.0f;
-    dst[j] = y;
+  // One pass per term, each a branch-free loop the compiler vectorizes; every
+  // element still sees the same float ops in the same order. The bias add is
+  // skipped when zero because Conv2d skips it (its zero case is a memcpy):
+  // y + 0.0f would turn -0.0 into +0.0 and break bit-identity. The ReLU is a
+  // select, not a branch: NaN and -0.0 map to +0.0 as in ReLU's forward.
+  for (std::size_t j = 0; j < count; ++j) dst[j] = accumulate ? dst[j] + src[j] : src[j];
+  if (bias != 0.0f) {
+    for (std::size_t j = 0; j < count; ++j) dst[j] += bias;
+  }
+  if (has_bn) {
+    for (std::size_t j = 0; j < count; ++j) dst[j] = g * (dst[j] - m) * inv_std + b;
+  }
+  if (ep.relu) {
+    for (std::size_t j = 0; j < count; ++j) dst[j] = dst[j] > 0.0f ? dst[j] : 0.0f;
   }
 }
 

@@ -44,8 +44,11 @@ class ThreadPool {
   /// Must be called first thing in a fork()ed child that will keep using the
   /// library (the subprocess transport does). A pool's worker threads do not
   /// exist in the child, so every parallel_for afterwards runs inline on the
-  /// calling thread — same results (kernels are thread-count independent),
-  /// and no lock inherited mid-operation is ever touched.
+  /// calling thread — same results (kernels are thread-count independent) —
+  /// and the pool's own queue lock is never touched. The other locks a child
+  /// reaches (device plan caches and workspace pools, telemetry registries and
+  /// span buffers) are held across fork() by pthread_atfork handlers, so the
+  /// child inherits them unlocked.
   static void enter_forked_child() noexcept;
 
  private:

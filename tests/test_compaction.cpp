@@ -187,6 +187,71 @@ TEST(Compaction, BitIdenticalToMaskingAcrossNetsDevicesThreadsAndEval) {
   EXPECT_EQ(compacted_cases, 3u * 3u * 2u * 2u);
 }
 
+/// A Model's first layer computes no input gradient (Layer::set_input_grad).
+/// Against a hand-driven layer chain whose first Conv2d still computes dX,
+/// every parameter gradient and the weights after 3 SGD steps match bit for
+/// bit — masked and compacted, on every device.
+TEST(FirstLayerInputGrad, SkippingItChangesNoGradientOrWeight) {
+  std::size_t cases = 0;
+  for (const Net& net : kNets) {
+    for (const char* backend : {"naive", "blocked", "sparse"}) {
+      for (const bool compact : {false, true}) {
+        const std::string label = std::string(net.name) + "/" + backend +
+                                  (compact ? "/compacted" : "/full");
+        ModelSpec spec = net.spec;
+        spec.backend = backend;
+        Model model = make_model(spec, 81);
+        Model chain = make_model(spec, 81);
+        ASSERT_FALSE(model.layer(0).input_grad()) << label;
+        ASSERT_TRUE(model.layer(1).input_grad()) << label;
+        chain.layer(0).set_input_grad(true);
+
+        Rng rng(82);
+        const ChannelMask channels = make_channel_mask(model, MaskKind::kRandom, rng);
+        const ModelMask mask = channels.to_model_mask(model);
+        mask.apply_to_weights(model);
+        mask.apply_to_weights(chain);
+        if (compact) {
+          model.set_kept_channels(channels.blocks());
+          chain.set_kept_channels(channels.blocks());
+        }
+        Tensor batch({5, spec.in_channels, spec.input_hw, spec.input_hw});
+        batch.fill_normal(rng, 0.0f, 1.0f);
+        std::vector<std::int32_t> labels(5);
+        for (auto& y : labels) y = static_cast<std::int32_t>(rng.uniform_index(10));
+
+        SgdConfig sgd;
+        sgd.lr = 0.05f;
+        sgd.weight_decay = 1e-3f;
+        Sgd model_opt(model.parameters(), sgd);
+        Sgd chain_opt(chain.parameters(), sgd);
+        for (int step = 0; step < 3; ++step) {
+          const std::string at = label + " step " + std::to_string(step);
+          model.backward(
+              softmax_cross_entropy(model.forward(batch, /*train=*/true), labels).grad_logits);
+          Tensor g =
+              softmax_cross_entropy(chain.forward(batch, /*train=*/true), labels).grad_logits;
+          for (std::size_t i = chain.num_layers(); i-- > 0;) g = chain.layer(i).backward(g);
+          EXPECT_EQ(g.shape(), batch.shape()) << at << ": chain conv1 dX";
+          mask.apply_to_grads(model);
+          mask.apply_to_grads(chain);
+          expect_same_entries(chain.parameters(), model.parameters(), true, at);
+          model_opt.step();
+          chain_opt.step();
+        }
+        expect_same_entries(chain.parameters(), model.parameters(), false,
+                            label + " after 3 SGD steps");
+
+        Tensor g = softmax_cross_entropy(model.forward(batch, /*train=*/true), labels).grad_logits;
+        for (std::size_t i = model.num_layers(); i-- > 1;) g = model.layer(i).backward(g);
+        EXPECT_TRUE(model.layer(0).backward(g).empty()) << label;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3u * 3u * 2u);
+}
+
 /// Output shape of every layer of `model` on `x`, in eval mode.
 std::vector<Shape> layer_shapes(Model& model, Tensor x) {
   std::vector<Shape> shapes;

@@ -1,10 +1,15 @@
 // Device API: registry/aliases, execution-plan cache (incl. concurrency and
-// mask-epoch invalidation), workspace leases, fused conv→bn→relu epilogues
+// mask-epoch invalidation), workspace leases, fork safety, fused conv→bn→relu epilogues
 // (bit-identical to the unfused chain), the fp16 compute mode (documented
 // looser tolerance vs fp32, bit-determinism intact), and the registered
 // env-knob table (asserted against the README in both directions).
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,10 +26,12 @@
 #include "nn/model_zoo.h"
 #include "pruning/unstructured.h"
 #include "tensor/backend.h"
+#include "telemetry/telemetry.h"
 #include "tensor/device.h"
 #include "util/check.h"
 #include "util/env.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace subfed {
 namespace {
@@ -286,6 +293,75 @@ TEST(Workspace, LeasesRecycleThroughTheDevicePool) {
   moved.reset();
   moved.reset();
   EXPECT_FALSE(moved);
+}
+
+// ---------------------------------------------------------------------------
+// Fork safety
+
+/// The subprocess transport forks while other threads (other sweep runs) keep
+/// leasing and planning on the shared devices. A child forked while one of
+/// them holds a device's pool or plan mutex, or a telemetry registry mutex,
+/// must still find it unlocked: each child leases, runs a GEMM and exits. The
+/// parent reaps against a deadline, so a regression fails instead of hanging.
+TEST(ForkSafety, ChildrenForkedWhileThreadsHammerADeviceNeverBlock) {
+  const Device& dev = get_device("blocked");
+  constexpr std::size_t kDim = 16;
+  constexpr int kHammers = 3, kChildren = 200;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> hammers;
+  for (int t = 0; t < kHammers; ++t) {
+    hammers.emplace_back([&dev, &stop, t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      const std::vector<float> a = random_vec(rng, kDim * kDim);
+      const std::vector<float> b = random_vec(rng, kDim * kDim);
+      std::vector<float> c(kDim * kDim);
+      while (!stop.load(std::memory_order_relaxed)) {
+        WorkspaceLease lease = dev.lease(std::size_t{256} << t);
+        dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), kDim, kDim, kDim, false);
+        telemetry::counter("test.fork_hammer").add();
+      }
+    });
+  }
+
+  std::vector<pid_t> children;
+  for (int i = 0; i < kChildren; ++i) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ThreadPool::enter_forked_child();
+      WorkspaceLease lease = dev.lease(512);
+      std::vector<float> a(kDim * kDim, 1.0f), c(kDim * kDim);
+      dev.gemm(GemmOp::kNN, a.data(), a.data(), c.data(), kDim, kDim, kDim, false);
+      telemetry::counter("test.fork_child").add();
+      ::_exit(c[0] == static_cast<float>(kDim) ? 0 : 2);
+    }
+    if (pid < 0) break;
+    children.push_back(pid);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : hammers) t.join();
+  EXPECT_EQ(children.size(), static_cast<std::size_t>(kChildren)) << "fork() failed";
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::size_t hung = 0, failed = 0;
+  for (const pid_t pid : children) {
+    int status = 0;
+    for (;;) {
+      if (::waitpid(pid, &status, WNOHANG) == pid) {
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) ++failed;
+        break;
+      }
+      if (std::chrono::steady_clock::now() > deadline) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        ++hung;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(hung, 0u) << "children blocked on a lock inherited across fork()";
+  EXPECT_EQ(failed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -203,6 +203,7 @@ TEST(GradCheck, InputGradientOfLinear) {
   Rng rng(9);
   Model m;
   auto* fc = m.add(std::make_unique<Linear>("fc", 5, 3));
+  fc->set_input_grad(true);  // a Model's first layer skips dX unless asked
   fc->init(rng);
   Tensor x({2, 5});
   x.fill_normal(rng, 0.0f, 1.0f);

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -219,6 +222,112 @@ TEST(Im2Col, PaddingProducesZeroHalo) {
   im2col(img.data(), g, cols.data());
   // First patch row (ky=0,kx=0) hits the padded halo for output (0,0).
   EXPECT_EQ(cols[0], 0.0f);
+}
+
+// The generic per-element loops im2col_strided/col2im_strided ran for every
+// geometry before the stride-1 row-copy fast paths; kept here as the
+// reference those paths must match bit for bit.
+void reference_im2col(const float* image, const ConvGeometry& g, float* columns,
+                      std::size_t col_stride, std::size_t col_offset) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* plane = image + c * g.in_h * g.in_w;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        float* out = columns + row * col_stride + col_offset;
+        for (std::size_t y = 0; y < oh; ++y) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(y * g.stride + ky) - static_cast<std::ptrdiff_t>(g.pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
+            std::memset(out + y * ow, 0, ow * sizeof(float));
+            continue;
+          }
+          const float* src = plane + static_cast<std::size_t>(iy) * g.in_w;
+          for (std::size_t x = 0; x < ow; ++x) {
+            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(x * g.stride + kx) -
+                                      static_cast<std::ptrdiff_t>(g.pad);
+            out[y * ow + x] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w))
+                                  ? 0.0f
+                                  : src[static_cast<std::size_t>(ix)];
+          }
+        }
+      }
+    }
+  }
+}
+
+void reference_col2im(const float* columns, const ConvGeometry& g, float* image,
+                      std::size_t col_stride, std::size_t col_offset) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::memset(image, 0, g.in_channels * g.in_h * g.in_w * sizeof(float));
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    float* plane = image + c * g.in_h * g.in_w;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        const float* in = columns + row * col_stride + col_offset;
+        for (std::size_t y = 0; y < oh; ++y) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(y * g.stride + ky) - static_cast<std::ptrdiff_t>(g.pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
+          float* dst = plane + static_cast<std::size_t>(iy) * g.in_w;
+          for (std::size_t x = 0; x < ow; ++x) {
+            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(x * g.stride + kx) -
+                                      static_cast<std::ptrdiff_t>(g.pad);
+            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
+            dst[static_cast<std::size_t>(ix)] += in[y * ow + x];
+          }
+        }
+      }
+    }
+  }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Im2Col, RowCopyPathsMatchTheGenericLoopBitwise) {
+  // Kernels 1/3/5 × pads 0/1/2 × strides 1 (row-copy path) and 2 (generic),
+  // on images down to smaller than the kernel (taps that only ever read the
+  // halo), written at a nonzero column offset inside a wider matrix whose
+  // other columns must stay untouched.
+  const std::size_t sizes[][2] = {{7, 6}, {5, 5}, {2, 3}, {1, 2}, {12, 9}};
+  Rng rng(17);
+  std::size_t cases = 0;
+  for (const std::size_t kernel : {1, 3, 5}) {
+    for (const std::size_t pad : {0, 1, 2}) {
+      for (const std::size_t stride : {1, 2}) {
+        for (const auto& hw : sizes) {
+          if (hw[0] + 2 * pad < kernel || hw[1] + 2 * pad < kernel) continue;
+          const ConvGeometry g{3, hw[0], hw[1], kernel, stride, pad};
+          const std::string label = "k" + std::to_string(kernel) + " p" + std::to_string(pad) +
+                                    " s" + std::to_string(stride) + " " +
+                                    std::to_string(hw[0]) + "x" + std::to_string(hw[1]);
+          const std::size_t spatial = g.out_h() * g.out_w();
+          const std::size_t offset = spatial + 3, stride_cols = 3 * spatial + 5;
+          std::vector<float> image(g.in_channels * g.in_h * g.in_w);
+          for (auto& v : image) v = static_cast<float>(rng.normal());
+          image[0] = -0.0f;  // signed zeros are copied, not recomputed
+
+          std::vector<float> fast(g.patch_size() * stride_cols, 7.0f), ref = fast;
+          im2col_strided(image.data(), g, fast.data(), stride_cols, offset);
+          reference_im2col(image.data(), g, ref.data(), stride_cols, offset);
+          EXPECT_TRUE(same_bits(fast, ref)) << "im2col " << label;
+
+          std::vector<float> columns(g.patch_size() * stride_cols);
+          for (auto& v : columns) v = static_cast<float>(rng.normal());
+          std::vector<float> fast_img(image.size(), 7.0f), ref_img = fast_img;
+          col2im_strided(columns.data(), g, fast_img.data(), stride_cols, offset);
+          reference_col2im(columns.data(), g, ref_img.data(), stride_cols, offset);
+          EXPECT_TRUE(same_bits(fast_img, ref_img)) << "col2im " << label;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 70u);
 }
 
 TEST(Col2Im, IsAdjointOfIm2Col) {
