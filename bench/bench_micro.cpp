@@ -1,9 +1,9 @@
 // Engineering micro-benchmarks (google-benchmark): GEMM/conv throughput per
-// math backend (naive vs blocked vs sparse at several mask densities), mask
+// compute device (naive vs blocked vs sparse at several mask densities), mask
 // operations, and the two aggregation rules (the DESIGN.md §4.2
 // counting-vs-strict-intersection ablation at the per-op level).
 //
-// The backend GEMM matrix is the perf-trajectory record for the kernel layer;
+// The device GEMM matrix is the perf-trajectory record for the kernel layer;
 // CI runs it as
 //   ./bench_micro --benchmark_filter='GemmBackend|GemmDevice|ConvForward' \
 //       --benchmark_out=BENCH_gemm.json --benchmark_out_format=json
@@ -17,8 +17,8 @@
 #include "nn/sgd.h"
 #include "pruning/structured.h"
 #include "pruning/unstructured.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
+#include "tensor/kernels.h"
 #include "util/rng.h"
 
 namespace subfed {
@@ -27,7 +27,7 @@ namespace {
 const char* const kBackendNames[] = {"naive", "blocked", "sparse"};
 
 /// A [n×n] matrix with `density_pct`% nonzeros — pruning masks make weights
-/// exact zeros, which is what the sparse backend keys on.
+/// exact zeros, which is what the sparse device keys on.
 std::vector<float> masked_matrix(Rng& rng, std::size_t size, int density_pct) {
   std::vector<float> out(size);
   for (auto& x : out) {
@@ -50,21 +50,24 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
 
-/// args: {size, backend index, weight density %}. items/sec is dense-equiv
-/// FLOPs, so "sparse at 20%" reads directly against "blocked at 100%".
+/// args: {size, device index, weight density %}. items/sec is dense-equiv
+/// FLOPs, so "sparse at 20%" reads directly against "blocked at 100%". The
+/// masked A is named as an anonymous weight (uid 0), so the sparse device
+/// scans its density on every call and packs CSR when it is sparse enough.
 void BM_GemmBackend(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const MathBackend& backend = math_backend(kBackendNames[state.range(1)]);
+  const Device& device = get_device(kBackendNames[state.range(1)]);
   const int density_pct = static_cast<int>(state.range(2));
   Rng rng(1);
   std::vector<float> a = masked_matrix(rng, n * n, density_pct);
   std::vector<float> b(n * n), c(n * n);
   for (auto& x : b) x = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    backend.gemm_nn(a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
+    device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false,
+                WeightSide::kA);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetLabel(std::string(backend.name()) + "/d" + std::to_string(density_pct));
+  state.SetLabel(device.name() + "/d" + std::to_string(density_pct));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmBackend)
@@ -82,14 +85,33 @@ BENCHMARK(BM_GemmBackend)
     ->Args({256, 1, 10})
     ->Args({256, 2, 10});
 
-/// args: {size, dtype index (0 = fp32, 1 = fp16)} — GEMM routed through the
-/// Device API. After the first iteration every call is a plan-cache hit, so
-/// against BM_GemmBackend (a direct, pre-planned kernel call) this row prices
-/// the cache lookup; the fp16 rows price the half-precision staging on top.
+/// args: {size} — the blocked register-tiled panels called directly over the
+/// planned row chunks, with no Device in between: the baseline BM_GemmDevice
+/// prices the Device layer against.
+void BM_GemmBackendRawPanels(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  std::vector<float> a(n * n), b(n * n), c(n * n);
+  for (auto& x : a) x = static_cast<float>(rng.normal());
+  for (auto& x : b) x = static_cast<float>(rng.normal());
+  for (auto _ : state) {
+    kern::run_row_chunks(n, kern::plan_chunks(n, 2 * n * n * n),
+                         [&](std::size_t i0, std::size_t i1) {
+                           kern::gemm_panel_nn(a.data(), b.data(), c.data(), /*lda=*/n, n, n,
+                                               i0, i1, /*accumulate=*/false);
+                         });
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
+}
+BENCHMARK(BM_GemmBackendRawPanels)->Arg(128);
+
+/// args: {size} — GEMM routed through the blocked Device. After the first
+/// iteration every call is a plan-cache hit, so against
+/// BM_GemmBackendRawPanels this row prices the plan-cache lookup.
 void BM_GemmDevice(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Device& dev = get_device(
-      "blocked", state.range(1) == 1 ? ComputeDType::kFp16 : ComputeDType::kFp32);
+  const Device& dev = get_device("blocked");
   Rng rng(1);
   std::vector<float> a(n * n), b(n * n), c(n * n);
   for (auto& x : a) x = static_cast<float>(rng.normal());
@@ -101,7 +123,7 @@ void BM_GemmDevice(benchmark::State& state) {
   state.SetLabel(dev.name());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmDevice)->Args({128, 0})->Args({128, 1})->Args({256, 0})->Args({256, 1});
+BENCHMARK(BM_GemmDevice)->Arg(128)->Arg(256);
 
 void BM_LeNetForward(benchmark::State& state) {
   Rng rng(2);
@@ -116,8 +138,8 @@ void BM_LeNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LeNetForward);
 
-/// args: {backend index, weight density %} — whole-model forward through the
-/// batched-im2col conv path on each backend.
+/// args: {device index, weight density %} — whole-model forward through the
+/// batched-im2col conv path on each device.
 void BM_ConvForwardBackend(benchmark::State& state) {
   Rng rng(2);
   ModelSpec spec = ModelSpec::lenet5(10);

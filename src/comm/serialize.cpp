@@ -1,5 +1,6 @@
 #include "comm/serialize.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "util/check.h"
@@ -9,6 +10,7 @@ namespace subfed {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53464156;  // "SFAV"
+constexpr std::uint32_t kMaxRank = 8;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
@@ -52,6 +54,7 @@ class Reader {
   }
 
   bool done() const noexcept { return pos_ == bytes_.size(); }
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
  private:
   std::span<const std::uint8_t> bytes_;
@@ -108,12 +111,27 @@ StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out
   for (std::uint32_t e = 0; e < entries; ++e) {
     const std::uint32_t name_len = reader.u32();
     std::string name = reader.str(name_len);
+    // Bound the header's claims by the bytes left before allocating anything:
+    // a dense tensor needs 4 bytes per value, a masked one its bitmap.
     const std::uint32_t rank = reader.u32();
+    SUBFEDAVG_CHECK(rank <= kMaxRank, "update tensor '" << name << "' has rank " << rank
+                                                         << " (max " << kMaxRank << ")");
     std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
+    std::size_t numel = 1;
+    for (auto& d : dims) {
+      d = reader.u32();
+      SUBFEDAVG_CHECK(d == 0 || numel <= SIZE_MAX / d,
+                      "update tensor '" << name << "' element count overflows");
+      numel *= d;
+    }
+    const bool masked = reader.u8() != 0;
+    const bool fits = masked ? numel / 8 + (numel % 8 != 0) <= reader.remaining()
+                             : numel <= reader.remaining() / 4;
+    SUBFEDAVG_CHECK(fits, "update tensor '" << name << "' claims " << numel
+                                            << " values, more than the remaining "
+                                            << reader.remaining() << " bytes hold");
     Tensor tensor{Shape(dims)};
 
-    const bool masked = reader.u8() != 0;
     if (!masked) {
       for (std::size_t i = 0; i < tensor.numel(); ++i) tensor[i] = reader.f32();
     } else {

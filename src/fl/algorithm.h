@@ -32,14 +32,10 @@ struct FlContext {
   TrainConfig train{};  ///< 5 local epochs, batch 10 (§4.1)
   SgdConfig sgd{};      ///< lr 0.01, momentum 0.5 (§4.1)
   std::uint64_t seed = 1;
-  /// Math backend name for every model built from `spec` ("auto" = keep the
+  /// Device name for every model built from `spec` ("auto" = keep the
   /// spec's choice / process default); applied to `spec` by the
   /// FederatedAlgorithm constructor.
   std::string backend = "auto";
-  /// GEMM compute dtype ("auto" | "fp32" | "fp16"), applied to `spec` like
-  /// `backend` above. fp16 stages operands through half precision with fp32
-  /// accumulation (tensor/device.h).
-  std::string compute = "auto";
   /// Row-panel cap for a single GEMM, applied process-wide when nonzero by
   /// the FederatedAlgorithm constructor (0 = inherit). Affects only
   /// wall-clock time — kernel results are thread-count independent.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nn/parameter.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "tensor/tensor.h"
 
@@ -29,14 +28,6 @@ class Layer {
   const Device& device() const {
     return device_ != nullptr ? *device_ : default_device();
   }
-
-  /// Deprecated MathBackend seam, aliased onto the Device registry: resolves
-  /// the fp32 device wrapping `backend`. Prefer set_device().
-  void set_backend(const MathBackend* backend) {
-    device_ = backend != nullptr ? &device_for(*backend) : nullptr;
-  }
-  /// Deprecated: the active device's raw kernel set. Prefer device().
-  const MathBackend& math() const { return device().kernels(); }
 
   /// Computes the layer output. `train` toggles training-time behaviour
   /// (BatchNorm batch statistics). Implementations cache what backward needs.

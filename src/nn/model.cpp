@@ -161,8 +161,4 @@ void Model::set_device(const Device* device) noexcept {
   for (auto& layer : layers_) layer->set_device(device);
 }
 
-void Model::set_backend(const MathBackend* backend) {
-  for (auto& layer : layers_) layer->set_backend(backend);
-}
-
 }  // namespace subfed

@@ -109,13 +109,9 @@ class Model {
   /// restores the process default). See tensor/device.h.
   void set_device(const Device* device) noexcept;
 
-  /// Deprecated alias onto the Device registry: routes layers through the
-  /// fp32 device wrapping `backend`. Prefer set_device().
-  void set_backend(const MathBackend* backend);
-
   /// Enables/disables fused conv→bn→activation epilogues in eval-mode
   /// forwards (training always runs unfused — train BN needs batch
-  /// statistics). Defaults to fused_epilogues_default() (SUBFEDAVG_FUSED).
+  /// statistics). On by default.
   /// Fused and unfused eval forwards are bit-identical by construction.
   void set_fusion(bool fused) noexcept { fused_ = fused; }
   bool fusion() const noexcept { return fused_; }
@@ -134,7 +130,7 @@ class Model {
 
   std::vector<LayerPtr> layers_;
   ModelTopology topology_;
-  bool fused_ = fused_epilogues_default();
+  bool fused_ = true;
   std::vector<FusePlan> fuse_plans_;  // lazily sized to layers_.size()
 };
 

@@ -30,14 +30,10 @@ struct ModelSpec {
   std::size_t input_hw = 28;   ///< square inputs
   std::size_t num_classes = 10;
   /// Device every built model's layers run on: "auto" (the process default,
-  /// see tensor/device.h) or a registered backend name. Carried in the spec
+  /// see tensor/device.h) or a registered device name. Carried in the spec
   /// so every client/server model of a federation uses the same kernels, and
   /// sweeps can put `backend` on an axis.
   std::string backend = "auto";
-  /// Compute dtype for the device: "auto" (the process default) | "fp32" |
-  /// "fp16". fp16 stages GEMM operands through half precision with fp32
-  /// accumulation — results match fp32 within a looser tolerance.
-  std::string compute = "auto";
 
   /// Builds the architecture with zeroed/default parameters.
   Model build() const;

@@ -1,28 +1,38 @@
-// Storage-owning compute devices.
+// Storage-owning compute devices — the single compute seam every GEMM and
+// im2col in the layer hot path goes through.
 //
-// PR 3's MathBackend multiplies but never owns memory: every Conv2d
-// hand-manages workspace vectors, the sparse backend re-inspects weight
-// density on every call, and nothing remembers how a shape was executed last
-// time. Device promotes that seam to an interface that owns staging buffers
-// and execution state (the poplibs ConvPlan shape — plan once, reuse across
-// calls — rather than darknet's layer-holds-device-buffers shape):
+// A device is one of three kernel sets, chosen by name from the registry
+// below, plus the execution state the raw kernels (tensor/kernels.h,
+// tensor/gemm.h) cannot hold (the poplibs ConvPlan shape — plan once, reuse
+// across calls — rather than darknet's layer-holds-device-buffers shape):
+//
+//   * "naive"   — the reference loops in tensor/gemm.h, the correctness
+//                 oracle the equivalence suite compares the others against;
+//   * "blocked" — cache-blocked, register-tiled panels parallelized over row
+//                 chunks (the process default);
+//   * "sparse"  — blocked, except that a GEMM whose caller names a pruned
+//                 weight operand packs it into CSR when its density is at or
+//                 below sparse_density_threshold(). A GEMM with no weight
+//                 operand (WeightSide::kNone) runs dense.
+//
+// On top of the kernels each device owns:
 //
 //   * workspace leases — layers lease scratch from a per-device pooled
 //     allocator (RAII WorkspaceLease) instead of owning grow-only vectors;
-//   * an execution-plan cache keyed on (op, m/k/n, weight side) per device
-//     (dtype is per-device) that picks the thread fan-out once and caches the
-//     sparse-vs-dense decision per weight (parameter uid + mask epoch, so a
-//     pruning pass invalidates it) instead of rescanning density per call;
+//   * an execution-plan cache keyed on (op, m/k/n, weight side) that picks
+//     the thread fan-out once and caches the sparse-vs-dense decision per
+//     weight (parameter uid + mask epoch, so a pruning pass invalidates it)
+//     instead of rescanning density per call;
 //   * fused conv→batchnorm→activation epilogues applied in the blocked
-//     GEMM's register tiles (see tensor/kernels.h, GemmEpilogue);
-//   * an fp16 compute mode that stages A/B panels through the wire-format
-//     round-to-nearest casts (comm/quantize.h) with fp32 accumulation.
+//     GEMM's register tiles (see tensor/kernels.h, GemmEpilogue).
 //
 // Devices are process-lifetime singletons, safe to share across threads.
 // Determinism: per device, results are bit-identical for any math_threads
 // value (plans only choose fan-out and kernels accumulate in ascending-k
-// order); fp16 staging is elementwise and deterministic. Across devices the
-// equivalence suite compares within tolerance — documented looser for fp16.
+// order). The CSR kernels round each term like the dense tiles, so a weight
+// GEMM that overwrites C (every one the layers run) gives the same bits on
+// the sparse and blocked devices; against naive the equivalence suite
+// compares within floating-point contraction tolerance.
 #pragma once
 
 #include <cstddef>
@@ -36,15 +46,18 @@
 
 namespace subfed {
 
-class MathBackend;
+/// Caps the number of row panels a single GEMM fans out to on the global
+/// thread pool. 0 (the default) means "pool size". Values only affect
+/// wall-clock time, never results — kernels accumulate each output element in
+/// a thread-count-independent order. Initialized from SUBFEDAVG_MATH_THREADS.
+void set_math_threads(std::size_t n) noexcept;
+std::size_t math_threads() noexcept;
 
-enum class ComputeDType : std::uint8_t { kFp32 = 0, kFp16 = 1 };
+/// Fraction of nonzero entries at or below which the sparse device packs a
+/// weight operand into CSR (default 0.25, env SUBFEDAVG_SPARSE_DENSITY).
+double sparse_density_threshold() noexcept;
 
-const char* compute_dtype_name(ComputeDType dtype) noexcept;
-/// Parses "fp32" | "fp16" (throws CheckError listing the names otherwise).
-ComputeDType parse_compute_dtype(const std::string& name);
-
-/// GEMM orientation, matching MathBackend's three entry points:
+/// GEMM orientation. All matrices are row-major:
 /// kNN: C = A[m×k]·B[k×n]; kTN: A stored [k×m]; kNT: B stored [n×k].
 enum class GemmOp : std::uint8_t { kNN, kTN, kNT };
 
@@ -101,22 +114,17 @@ struct DeviceStats {
   std::uint64_t plan_entries = 0;     ///< current plan-cache size
 };
 
-/// A compute device: a MathBackend kernel set + compute dtype + the owned
-/// state described above. All methods are const and thread-safe; the mutable
-/// plan/pool state is internally synchronized.
+/// A compute device: one kernel set + the owned state described above. All
+/// methods are const and thread-safe; the mutable plan/pool state is
+/// internally synchronized. Obtain one through get_device().
 class Device {
  public:
-  Device(const MathBackend& kernels, ComputeDType compute);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// "blocked", "sparse+fp16", … — backend name plus a dtype suffix.
+  /// "naive" | "blocked" | "sparse".
   const std::string& name() const noexcept { return name_; }
-  const std::string& backend_name() const noexcept { return backend_name_; }
-  ComputeDType compute() const noexcept { return compute_; }
-  /// The raw kernel set this device executes through.
-  const MathBackend& kernels() const noexcept { return kernels_; }
 
   // --- storage ---------------------------------------------------------------
 
@@ -130,12 +138,12 @@ class Device {
 
   // --- compute ---------------------------------------------------------------
 
-  /// Planned GEMM: C[m×n] (+)= op(A)·op(B). Consults/updates the plan cache;
-  /// when `weight_side` names a weight operand, pass the owning Parameter's
-  /// `uid`/`mask_epoch` so the sparse-vs-dense decision is cached until the
-  /// next pruning pass instead of rescanned per call (uid 0 = unknown, scan
-  /// per call). `epilogue` fuses a conv→bn→activation tail into the store-back
-  /// (bit-identical to the unfused layer chain, any device kind).
+  /// Planned GEMM: C[m×n] (+)= op(A)·op(B). Consults/updates the plan cache.
+  /// Only a named weight operand is ever run sparse; pass the owning
+  /// Parameter's `uid`/`mask_epoch` so the sparse-vs-dense decision is cached
+  /// until the next pruning pass instead of rescanned per call (uid 0 =
+  /// unknown, scan per call). `epilogue` fuses a conv→bn→activation tail into
+  /// the store-back (bit-identical to the unfused layer chain, any device).
   void gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n, bool accumulate,
             WeightSide weight_side = WeightSide::kNone, std::uint64_t weight_uid = 0,
@@ -150,7 +158,11 @@ class Device {
 
  private:
   friend class WorkspaceLease;
+  friend const Device& get_device(const std::string& name);
   struct Impl;
+
+  /// Registry-only: `name` must be a registered kernel set.
+  explicit Device(const std::string& name);
 
   /// pthread_atfork handlers: a fork() landing while another thread holds a
   /// registered device's plan or pool mutex would leave the single-threaded
@@ -164,42 +176,26 @@ class Device {
   void release(float* data, std::size_t floats) const noexcept;
   void execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                std::size_t m, std::size_t k, std::size_t n, bool accumulate,
-               std::size_t chunks, bool use_sparse, bool sparse_decided,
-               const GemmEpilogue* epilogue) const;
+               std::size_t chunks, bool use_sparse, const GemmEpilogue* epilogue) const;
 
-  const MathBackend& kernels_;
-  ComputeDType compute_;
-  std::string backend_name_;
   std::string name_;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Device registry: backend names ("naive" | "blocked" | "sparse") × compute
-/// dtypes resolve to process-lifetime singletons. Throws CheckError listing
-/// the valid combinations on an unknown backend name.
-const Device& get_device(const std::string& backend,
-                         ComputeDType dtype = ComputeDType::kFp32);
-/// Convenience overload parsing `compute` ("fp32" | "fp16").
-const Device& get_device(const std::string& backend, const std::string& compute);
+/// Device registry: "naive" | "blocked" | "sparse" resolve to
+/// process-lifetime singletons. Throws CheckError listing the valid names on
+/// an unknown one.
+const Device& get_device(const std::string& name);
 
-/// True when `backend` names a registered kernel set.
-bool has_device(const std::string& backend);
+/// True when `name` names a registered device.
+bool has_device(const std::string& name);
 
-/// Every device name the registry resolves: backend names plus their "+fp16"
-/// variants, sorted.
+/// Every device name the registry resolves, sorted.
 std::vector<std::string> list_devices();
 
-/// The process-wide default device: SUBFEDAVG_BACKEND (default "blocked") at
-/// SUBFEDAVG_COMPUTE (default "fp32"). Resolved once; a bad env value throws
-/// on first use (ExperimentSpec::make_context resolves eagerly).
+/// The process-wide default device: SUBFEDAVG_BACKEND (default "blocked").
+/// Resolved once; a bad env value throws on first use
+/// (ExperimentSpec::make_context resolves eagerly).
 const Device& default_device();
-
-/// The fp32 device wrapping `kernels` — the shim Layer::set_backend uses to
-/// keep the deprecated MathBackend pointer API working.
-const Device& device_for(const MathBackend& kernels);
-
-/// Process default for fusing conv→bn→activation epilogues into eval-mode
-/// GEMMs: SUBFEDAVG_FUSED (default on). Model::set_fusion overrides per model.
-bool fused_epilogues_default() noexcept;
 
 }  // namespace subfed

@@ -39,7 +39,12 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) noexcept {
   std::memset(c, 0, m * n * sizeof(float));
-  // C[i,j] = sum_p A[p,i] * B[p,j] — stream rows of A and B together.
+  gemm_at_b_accumulate(a, b, c, m, k, n);
+}
+
+void gemm_at_b_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n) noexcept {
+  // C[i,j] += sum_p A[p,i] * B[p,j] — stream rows of A and B together.
   for (std::size_t p = 0; p < k; ++p) {
     const float* arow = a + p * m;
     const float* brow = b + p * n;
@@ -63,6 +68,20 @@ void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m, std::siz
       float acc = 0.0f;
       for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
       crow[j] = acc;
+    }
+  }
+}
+
+void gemm_a_bt_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] += acc;
     }
   }
 }

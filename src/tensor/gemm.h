@@ -1,4 +1,6 @@
-// Small blocked GEMM and im2col/col2im used by Conv2d and Linear.
+// Reference GEMM loops and im2col/col2im. The loops are the "naive" device's
+// kernels (tensor/device.h) and the oracle the equivalence suite compares the
+// blocked and sparse devices against.
 //
 // All matrices are row-major. Sizes in this project are LeNet-scale
 // (K ≤ ~500), so a register-blocked ikj kernel is within ~2-3× of a tuned
@@ -21,9 +23,17 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) noexcept;
 
+/// C[m×n] += Aᵀ[m×k] · B[k×n] where A is stored [k×m].
+void gemm_at_b_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n) noexcept;
+
 /// C[m×n] = A[m×k] · Bᵀ[k×n] where B is stored [n×k].
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) noexcept;
+
+/// C[m×n] += A[m×k] · Bᵀ[k×n] where B is stored [n×k].
+void gemm_a_bt_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n) noexcept;
 
 /// Geometry of one conv layer application, shared by im2col and col2im.
 struct ConvGeometry {

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/backend.h"
+#include "tensor/device.h"
 #include "util/env.h"
 
 namespace subfed {
 
-// --- process-wide kernel knobs (declared in kernels.h) -----------------------
+// --- process-wide kernel knobs (declared in device.h) ------------------------
 
 namespace {
 std::atomic<std::size_t> g_math_threads{static_cast<std::size_t>(

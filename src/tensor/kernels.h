@@ -1,15 +1,12 @@
-// Internal kernel layer shared by the MathBackend singletons (backend.cpp)
-// and the Device execution engine (device.cpp).
+// Internal kernel layer under the Device execution engine (device.cpp).
 //
-// Everything here used to live in backend.cpp's anonymous namespace; the
-// Device redesign splits the stack into three layers:
+// The compute stack has two layers:
 //
 //   tensor/kernels.h  — raw panel/sparse kernels + the row-chunk runner
-//                       (this header; no state beyond the math-thread cap)
-//   tensor/backend.h  — the stateless MathBackend kernel sets (kept as the
-//                       oracle/dispatch seam and for backward compatibility)
-//   tensor/device.h   — storage-owning devices: plan cache, workspace pool,
-//                       compute dtype, fused epilogues
+//                       (this header; no state beyond the math-thread cap),
+//                       beside the reference loops in tensor/gemm.h
+//   tensor/device.h   — storage-owning devices: dispatch over the kernels,
+//                       plan cache, workspace pool, fused epilogues
 //
 // Determinism contract (inherited by every caller): each output element is
 // accumulated in ascending-k order regardless of how row panels are chunked,
@@ -87,12 +84,6 @@ void run_row_chunks(std::size_t m, std::size_t chunks, const Fn& fn) {
     const std::size_t i1 = std::min(m, i0 + panels_per_chunk * kMr);
     if (i0 < m) fn(i0, i1);
   });
-}
-
-/// plan_chunks + run_row_chunks in one step, for callers with no plan cache.
-template <typename Fn>
-void for_row_chunks(std::size_t m, std::size_t flops, const Fn& fn) {
-  run_row_chunks(m, plan_chunks(m, flops), fn);
 }
 
 // --- dense panels (AVX2+FMA dispatched internally) --------------------------

@@ -153,6 +153,48 @@ TEST(Serialize, RejectsCorruptBuffers) {
   EXPECT_THROW(decode_update(padded), CheckError);
 }
 
+/// Little-endian u32 words, the header fields of an SFAV update payload.
+std::vector<std::uint8_t> le_words(std::initializer_list<std::uint32_t> words) {
+  std::vector<std::uint8_t> out;
+  for (const std::uint32_t w : words) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+  }
+  return out;
+}
+
+TEST(Serialize, RejectsHeadersClaimingMoreThanThePayloadHolds) {
+  constexpr std::uint32_t kMagic = 0x53464156;  // "SFAV"
+  // Magic, 1 entry, empty name, rank 4, dims 0x4000 ×4: a 2^56-element tensor
+  // claimed by a 32-byte payload. It must fail as a CheckError, not bad_alloc.
+  const std::vector<std::uint8_t> huge_dims =
+      le_words({kMagic, 1, 0, 4, 0x4000, 0x4000, 0x4000, 0x4000});
+  ASSERT_EQ(huge_dims.size(), 32u);
+  EXPECT_THROW(decode_update(huge_dims), CheckError);
+  for (const std::uint8_t masked : {0, 1}) {
+    std::vector<std::uint8_t> flagged = huge_dims;
+    flagged.push_back(masked);
+    EXPECT_THROW(decode_update(flagged), CheckError) << "masked " << int(masked);
+  }
+
+  // A huge rank is refused before its dims vector is allocated.
+  EXPECT_THROW(decode_update(le_words({kMagic, 1, 0, 0xFFFFFFFFu})), CheckError);
+  // Eight maximal dims overflow the element count.
+  std::vector<std::uint8_t> overflow = le_words({kMagic, 1, 0, 8});
+  for (int d = 0; d < 8; ++d) {
+    const std::vector<std::uint8_t> dim = le_words({0xFFFFFFFFu});
+    overflow.insert(overflow.end(), dim.begin(), dim.end());
+  }
+  overflow.push_back(0);
+  EXPECT_THROW(decode_update(overflow), CheckError);
+
+  // One value short of a dense [2×2] tensor.
+  std::vector<std::uint8_t> short_dense = le_words({kMagic, 1, 0, 2, 2, 2});
+  short_dense.push_back(0);
+  const std::vector<std::uint8_t> values = le_words({0, 0, 0});
+  short_dense.insert(short_dense.end(), values.begin(), values.end());
+  EXPECT_THROW(decode_update(short_dense), CheckError);
+}
+
 TEST(Ledger, AccumulatesPerRoundAndTotals) {
   CommLedger ledger;
   ledger.record(0, 100, 200);

@@ -18,7 +18,6 @@
 #include "nn/sgd.h"
 #include "pruning/structured.h"
 #include "pruning/unstructured.h"
-#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "util/check.h"
 #include "util/rng.h"
