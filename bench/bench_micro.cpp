@@ -125,6 +125,32 @@ void BM_GemmDevice(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmDevice)->Arg(128)->Arg(256);
 
+/// args: {device index, kept channels m} — conv1's weight gradient in a
+/// LeNet-5 train step at batch 10: dW[m×75] += dY[m×7840]·colsᵀ, a kNT GEMM
+/// whose B (the 75×7840 patch matrix) does not shrink with the kept channels.
+/// m = 6 is the dense layer, m = 1 a client compacted to one channel. One
+/// math thread, as inside a federation's client task.
+void BM_GemmBackendWeightGrad(benchmark::State& state) {
+  const std::size_t prev_threads = math_threads();
+  set_math_threads(1);
+  const Device& device = get_device(kBackendNames[state.range(0)]);
+  const std::size_t m = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t k = 7840, n = 75;
+  Rng rng(1);
+  std::vector<float> dy(m * k), cols(n * k), dw(m * n, 0.0f);
+  for (auto& x : dy) x = static_cast<float>(rng.normal());
+  for (auto& x : cols) x = static_cast<float>(rng.normal());
+  for (auto _ : state) {
+    device.gemm(GemmOp::kNT, dy.data(), cols.data(), dw.data(), m, k, n,
+                /*accumulate=*/true);
+    benchmark::DoNotOptimize(dw.data());
+  }
+  set_math_threads(prev_threads);
+  state.SetLabel(device.name() + "/m" + std::to_string(m));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * m * k * n);
+}
+BENCHMARK(BM_GemmBackendWeightGrad)->Args({0, 6})->Args({1, 6})->Args({0, 1})->Args({1, 1});
+
 void BM_LeNetForward(benchmark::State& state) {
   Rng rng(2);
   Model model = ModelSpec::lenet5(10).build_init(rng);

@@ -1,5 +1,7 @@
 #include "core/aggregate.h"
 
+#include <vector>
+
 #include "util/check.h"
 
 namespace subfed {
@@ -26,6 +28,8 @@ StateDict masked_aggregate(std::span<const ClientUpdate> updates,
   check_aligned(updates, previous_global);
 
   StateDict out;
+  std::vector<float> sums, weight_sums;  // per element of a covered entry
+  std::vector<std::size_t> keepers;
   for (std::size_t e = 0; e < previous_global.size(); ++e) {
     const auto& [name, prev] = previous_global[e];
     Tensor merged(prev.shape());
@@ -58,24 +62,42 @@ StateDict masked_aggregate(std::span<const ClientUpdate> updates,
       continue;
     }
 
-    for (std::size_t i = 0; i < merged.numel(); ++i) {
-      float sum = 0.0f;
-      float weight_sum = 0.0f;
-      std::size_t keepers = 0;
-      for (const ClientUpdate& u : updates) {
-        const Tensor* m = u.mask.find(name);
-        const bool kept = (m == nullptr) || ((*m)[i] != 0.0f);
-        if (kept) {
-          const float w = static_cast<float>(u.weight);
-          sum += w * (*u.state.find(name))[i];
-          weight_sum += w;
-          ++keepers;
+    // Update-outer: each update streams its values and mask once, and every
+    // element still sums its keepers in ascending update order. The kept
+    // test is a select, not a multiply by the mask, so a NaN/Inf in a pruned
+    // entry never reaches the output.
+    const std::size_t numel = merged.numel();
+    sums.assign(numel, 0.0f);
+    weight_sums.assign(numel, 0.0f);
+    keepers.assign(numel, 0);
+    for (const ClientUpdate& u : updates) {
+      const float* value = u.state.find(name)->data();
+      const float w = static_cast<float>(u.weight);
+      const Tensor* m = u.mask.find(name);
+      if (m == nullptr) {
+        for (std::size_t i = 0; i < numel; ++i) {
+          sums[i] += w * value[i];
+          weight_sums[i] += w;
+          ++keepers[i];
         }
+        continue;
       }
+      SUBFEDAVG_CHECK(m->numel() == numel, "mask size mismatch for " << name);
+      const float* keep = m->data();
+      for (std::size_t i = 0; i < numel; ++i) {
+        const bool kept = keep[i] != 0.0f;
+        sums[i] = kept ? sums[i] + w * value[i] : sums[i];
+        weight_sums[i] = kept ? weight_sums[i] + w : weight_sums[i];
+        keepers[i] += kept ? 1 : 0;
+      }
+    }
+    const float* prev_value = prev.data();
+    float* merged_value = merged.data();
+    for (std::size_t i = 0; i < numel; ++i) {
       const bool use_average = rule == CoveredRule::kCounting
-                                   ? keepers > 0 && weight_sum > 0.0f
-                                   : keepers == updates.size() && weight_sum > 0.0f;
-      merged[i] = use_average ? sum / weight_sum : prev[i];
+                                   ? keepers[i] > 0 && weight_sums[i] > 0.0f
+                                   : keepers[i] == updates.size() && weight_sums[i] > 0.0f;
+      merged_value[i] = use_average ? sums[i] / weight_sums[i] : prev_value[i];
     }
     out.add(name, std::move(merged));
   }

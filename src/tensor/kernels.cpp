@@ -8,6 +8,10 @@
 #include "tensor/device.h"
 #include "util/env.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace subfed {
 
 // --- process-wide kernel knobs (declared in device.h) ------------------------
@@ -146,7 +150,27 @@ SUBFED_ALWAYS_INLINE v8sf load8(const float* p) noexcept {
 SUBFED_ALWAYS_INLINE void store8(float* p, v8sf v) noexcept {
   std::memcpy(p, &v, sizeof(v));
 }
+/// An unaligned v8sf. Multi-row tiles read B rows through a volatile pointer
+/// to it so that each load issues exactly once: a B row feeds every row of
+/// the tile, and left to itself GCC folds the load into both rows' FMAs of a
+/// 2-row tile (a 1-row tile keeps its single folded load). On an in-place B
+/// (conv forward, rows 200 KB apart at batch 64) those two loads of a line
+/// still in flight from memory made the 2-row tile ≈3× slower than two
+/// 1-row tiles. A pure load: no bits change.
+typedef float v8sf_unaligned __attribute__((vector_size(32), aligned(4)));
 #endif
+
+/// A k-blocked GEMM (kNT) runs each tile once per k block and hands the
+/// accumulators from block to block through `rows`, kNr floats per output
+/// row: `resume` starts the tile from them instead of from zero, `park`
+/// stores them there instead of into C. A float stored and reloaded is exact,
+/// so each output element keeps the unblocked op chain: accumulate from zero
+/// in ascending k, then one final C + acc (or acc) store.
+struct KCarry {
+  float* rows = nullptr;
+  bool resume = false;
+  bool park = false;
+};
 
 /// One MR×kNr register tile: rows i..i+MR of A against a kNr-wide B panel
 /// (`bpanel`, row stride ldb — either b + j inside the full matrix, or a
@@ -154,18 +178,34 @@ SUBFED_ALWAYS_INLINE void store8(float* p, v8sf v) noexcept {
 /// cpanel (= c + j). Every output element accumulates in ascending-k order.
 /// With kFused the accumulators route through epilogue_store instead of the
 /// raw store, so the epilogue reads them straight out of registers without a
-/// second pass over the output tensor.
+/// second pass over the output tensor. `carry.rows` points at row i's slot.
 template <std::size_t MR, bool kTransposedA, bool kFused>
 SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t lda,
                                      const float* bpanel, std::size_t ldb, float* cpanel,
                                      std::size_t ldc, std::size_t k, std::size_t nr,
-                                     bool accumulate, const GemmEpilogue* ep) noexcept {
+                                     bool accumulate, const GemmEpilogue* ep,
+                                     const KCarry& carry) noexcept {
 #if SUBFED_VECTOR_TILE
   static_assert(kNr == 16, "tile uses two 8-wide vectors per row");
   v8sf acc0[MR] = {}, acc1[MR] = {};
+  if (carry.resume) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      acc0[r] = load8(carry.rows + r * kNr);
+      acc1[r] = load8(carry.rows + r * kNr + 8);
+    }
+  }
   for (std::size_t p = 0; p < k; ++p) {
     const float* brow = bpanel + p * ldb;
-    const v8sf b0 = load8(brow), b1 = load8(brow + 8);
+    v8sf b0, b1;
+    if constexpr (MR == 1) {
+      b0 = load8(brow);
+      b1 = load8(brow + 8);
+    } else {
+      const volatile v8sf_unaligned* bvec =
+          reinterpret_cast<const volatile v8sf_unaligned*>(brow);
+      b0 = bvec[0];
+      b1 = bvec[1];
+    }
     for (std::size_t r = 0; r < MR; ++r) {
       // A stored [k×m] keeps the panel's row values contiguous.
       const float value = kTransposedA ? a[p * lda + i + r] : a[(i + r) * lda + p];
@@ -173,6 +213,13 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
       acc0[r] += av * b0;
       acc1[r] += av * b1;
     }
+  }
+  if (carry.park) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      store8(carry.rows + r * kNr, acc0[r]);
+      store8(carry.rows + r * kNr + 8, acc1[r]);
+    }
+    return;
   }
   for (std::size_t r = 0; r < MR; ++r) {
     float* crow = cpanel + (i + r) * ldc;
@@ -200,12 +247,17 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
   }
 #else
   float acc[MR][kNr] = {};
+  if (carry.resume) std::memcpy(acc, carry.rows, sizeof(acc));
   for (std::size_t p = 0; p < k; ++p) {
     const float* brow = bpanel + p * ldb;
     for (std::size_t r = 0; r < MR; ++r) {
       const float av = kTransposedA ? a[p * lda + i + r] : a[(i + r) * lda + p];
       for (std::size_t jj = 0; jj < kNr; ++jj) acc[r][jj] += av * brow[jj];
     }
+  }
+  if (carry.park) {
+    std::memcpy(carry.rows, acc, sizeof(acc));
+    return;
   }
   for (std::size_t r = 0; r < MR; ++r) {
     float* crow = cpanel + (i + r) * ldc;
@@ -233,24 +285,43 @@ std::vector<float>& packing_scratch(std::size_t size) {
   return scratch;
 }
 
-/// Rows [i0, i1) of C against one B panel: full kMr tiles plus single-row
-/// tiles for the tail. Which rows take the tail path depends only on i1
-/// (always the matrix edge or a kMr-aligned chunk boundary), and both tile
-/// widths accumulate identically, so threading cannot change results.
+/// Rows [i0, i1) of C against one B panel: full kMr tiles plus one 3-, 2- or
+/// 1-row tile for the tail, so a narrow (compacted) GEMM streams the panel
+/// once rather than once per leftover row. Which rows take the tail path
+/// depends only on i1 (always the matrix edge or a kMr-aligned chunk
+/// boundary), and every tile height accumulates identically, so threading
+/// cannot change results. `carry.rows` (k-blocked callers) holds row i0's slot.
 template <bool kTransposedA, bool kFused>
 SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const float* bpanel,
                                     std::size_t ldb, float* cpanel, std::size_t ldc,
                                     std::size_t i0, std::size_t i1, std::size_t k,
-                                    std::size_t nr, bool accumulate,
-                                    const GemmEpilogue* ep) noexcept {
+                                    std::size_t nr, bool accumulate, const GemmEpilogue* ep,
+                                    const KCarry& carry = {}) noexcept {
+  // No lambda here: its body would compile outside the AVX2 target clones.
+  static_assert(kMr == 4, "the tail switch covers 3, 2 and 1 leftover rows");
+  KCarry tile = carry;
   std::size_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
+    if (carry.rows != nullptr) tile.rows = carry.rows + (i - i0) * kNr;
     micro_tile<kMr, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
-                                          accumulate, ep);
+                                          accumulate, ep, tile);
   }
-  for (; i < i1; ++i) {
-    micro_tile<1, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
-                                        accumulate, ep);
+  if (carry.rows != nullptr) tile.rows = carry.rows + (i - i0) * kNr;
+  switch (i1 - i) {
+    case 3:
+      micro_tile<3, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+                                          accumulate, ep, tile);
+      break;
+    case 2:
+      micro_tile<2, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+                                          accumulate, ep, tile);
+      break;
+    case 1:
+      micro_tile<1, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+                                          accumulate, ep, tile);
+      break;
+    default:
+      break;
   }
 }
 
@@ -283,22 +354,43 @@ SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
   }
 }
 
-/// nt panel body: B is stored [n×k], so every kNr-column panel is packed
-/// transposed (zero-padded) into [k×kNr]; packing costs k·n per chunk and
+/// Packs `nr` rows of B (row stride ldb) over `kb` columns transposed into a
+/// zero-padded [kb×kNr] block: packed[p·kNr + jj] = b[jj·ldb + p]. Rows
+/// before `jj0` are left to the caller.
+SUBFED_ALWAYS_INLINE void pack_nt_block(const float* b, std::size_t ldb, std::size_t nr,
+                                        std::size_t kb, float* packed,
+                                        std::size_t jj0 = 0) noexcept {
+  for (std::size_t jj = jj0; jj < nr; ++jj) {
+    const float* brow = b + jj * ldb;
+    for (std::size_t p = 0; p < kb; ++p) packed[p * kNr + jj] = brow[p];
+  }
+  if (nr < kNr) {
+    for (std::size_t p = 0; p < kb; ++p) std::fill_n(packed + p * kNr + nr, kNr - nr, 0.0f);
+  }
+}
+
+/// nt panel body: B is stored [n×k], so each kNr-column panel is packed
+/// transposed (zero-padded) one kKc-deep block at a time by `pack`, and every
+/// row tile of the chunk runs against that block while it is in L1. Between
+/// blocks the tiles park their accumulators in a per-row carry (KCarry), and
+/// C is written once, after the last block. Packing costs k·n per chunk and
 /// amortizes over the chunk's rows.
+template <typename PackFn>
 SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, float* c,
                                              std::size_t k, std::size_t n, std::size_t i0,
-                                             std::size_t i1, bool accumulate) {
-  std::vector<float>& packed = packing_scratch(k * kNr);
+                                             std::size_t i1, bool accumulate, PackFn pack) {
+  const std::size_t carry_floats = k > kKc ? (i1 - i0) * kNr : 0;
+  float* packed = packing_scratch(kKc * kNr + carry_floats).data();
   for (std::size_t j = 0; j < n; j += kNr) {
     const std::size_t nr = std::min(kNr, n - j);
-    if (nr < kNr) std::fill_n(packed.begin(), k * kNr, 0.0f);
-    for (std::size_t jj = 0; jj < nr; ++jj) {
-      const float* brow = b + (j + jj) * k;
-      for (std::size_t p = 0; p < k; ++p) packed[p * kNr + jj] = brow[p];
+    for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+      const std::size_t kb = std::min(kKc, k - p0);
+      pack(b + j * k + p0, k, nr, kb, packed);
+      const KCarry carry{carry_floats != 0 ? packed + kKc * kNr : nullptr, p0 != 0,
+                         p0 + kb < k};
+      tile_rows<false, false>(a + p0, k, packed, kNr, c + j, n, i0, i1, kb, nr, accumulate,
+                              nullptr, carry);
     }
-    tile_rows<false, false>(a, k, packed.data(), kNr, c + j, n, i0, i1, k, nr, accumulate,
-                            nullptr);
   }
 }
 
@@ -306,6 +398,44 @@ SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, flo
 // loop nests with wider registers and fused multiply-adds; the plain variants
 // are the portable fallback (and the only build on non-x86 targets).
 #if SUBFED_X86_DISPATCH
+/// pack_nt_block with in-register 8×8 transposes: eight B rows × eight
+/// columns load as eight vectors and store as eight packed rows. A pure copy,
+/// so the packed block is the same bits as the scalar loop's.
+SUBFED_AVX2_TARGET void pack_nt_block_avx2(const float* b, std::size_t ldb, std::size_t nr,
+                                           std::size_t kb, float* packed) noexcept {
+  const std::size_t p_end = kb - kb % 8;
+  std::size_t jj = 0;
+  for (; jj + 8 <= nr; jj += 8) {
+    const float* src = b + jj * ldb;
+    for (std::size_t p = 0; p < p_end; p += 8) {
+      __m256 r[8];
+      for (std::size_t q = 0; q < 8; ++q) r[q] = _mm256_loadu_ps(src + q * ldb + p);
+      __m256 t[8];
+      for (std::size_t q = 0; q < 8; q += 2) {
+        t[q] = _mm256_unpacklo_ps(r[q], r[q + 1]);
+        t[q + 1] = _mm256_unpackhi_ps(r[q], r[q + 1]);
+      }
+      for (std::size_t q = 0; q < 8; q += 4) {
+        r[q] = _mm256_shuffle_ps(t[q], t[q + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        r[q + 1] = _mm256_shuffle_ps(t[q], t[q + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        r[q + 2] = _mm256_shuffle_ps(t[q + 1], t[q + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        r[q + 3] = _mm256_shuffle_ps(t[q + 1], t[q + 3], _MM_SHUFFLE(3, 2, 3, 2));
+      }
+      // r[q] (q < 4) holds column q of rows 0–3 in its low lane and column
+      // q + 4 in its high lane; r[q + 4] the same for rows 4–7.
+      float* dst = packed + p * kNr + jj;
+      for (std::size_t q = 0; q < 4; ++q) {
+        _mm256_storeu_ps(dst + q * kNr, _mm256_permute2f128_ps(r[q], r[q + 4], 0x20));
+        _mm256_storeu_ps(dst + (q + 4) * kNr, _mm256_permute2f128_ps(r[q], r[q + 4], 0x31));
+      }
+    }
+    for (std::size_t p = p_end; p < kb; ++p) {
+      for (std::size_t q = 0; q < 8; ++q) packed[p * kNr + jj + q] = src[q * ldb + p];
+    }
+  }
+  pack_nt_block(b, ldb, nr, kb, packed, jj);
+}
+
 SUBFED_AVX2_TARGET void gemm_panel_nn_avx2(const float* a, const float* b, float* c,
                                            std::size_t lda, std::size_t k, std::size_t n,
                                            std::size_t i0, std::size_t i1,
@@ -321,7 +451,7 @@ SUBFED_AVX2_TARGET void gemm_panel_tn_avx2(const float* a, const float* b, float
 SUBFED_AVX2_TARGET void gemm_panel_nt_avx2(const float* a, const float* b, float* c,
                                            std::size_t k, std::size_t n, std::size_t i0,
                                            std::size_t i1, bool accumulate) {
-  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate);
+  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate, pack_nt_block_avx2);
 }
 SUBFED_AVX2_TARGET void gemm_panel_nn_fused_avx2(const float* a, const float* b, float* c,
                                                  std::size_t lda, std::size_t k,
@@ -366,7 +496,9 @@ void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std:
     return;
   }
 #endif
-  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate);
+  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate,
+                     [](const float* bb, std::size_t ldb, std::size_t nr, std::size_t kb,
+                        float* packed) { pack_nt_block(bb, ldb, nr, kb, packed); });
 }
 
 void gemm_panel_nn_fused(const float* a, const float* b, float* c, std::size_t lda,

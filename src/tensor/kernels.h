@@ -50,6 +50,9 @@ namespace kern {
 // Register-tile geometry of the blocked kernels (see kernels.cpp).
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 16;
+/// Depth of one packed kNT block: [kKc×kNr] floats are 16 KB, so the block
+/// stays in L1 while every row tile of the chunk streams it.
+constexpr std::size_t kKc = 256;
 /// Below this many FLOPs (2·m·k·n) a GEMM runs on the calling thread; pool
 /// dispatch would cost more than it saves on LeNet-scale tiles.
 constexpr std::size_t kMinParallelFlops = std::size_t{1} << 21;
@@ -89,6 +92,15 @@ void run_row_chunks(std::size_t m, std::size_t chunks, const Fn& fn) {
 // --- dense panels (AVX2+FMA dispatched internally) --------------------------
 // Rows [i0, i1) of C. nn/tn read B row-major [k×n]; nt reads B stored [n×k].
 // A is row-major [m×k] for nn/nt and stored [k×m] for tn (lda = row stride).
+// Rows come in kMr-high tiles; the m mod kMr leftover rows run as one 3-, 2-
+// or 1-row tile. nt packs each kNr-column panel of B transposed one kKc-deep
+// block at a time (8×8 in-register transposes on AVX2), runs every row tile
+// against the block while it sits in L1, carries the tiles' accumulators
+// across blocks in per-row scratch and writes C once after the last block.
+// Every output element keeps one op chain whatever the tile height, block
+// split or row chunking: accumulate from zero in ascending k, then store
+// C + acc (or acc). So nt(A, B) equals nn(A, Bᵀ) bitwise, and an m-row GEMM
+// equals m stacked one-row GEMMs (tests/test_backend.cpp pins both).
 
 void gemm_panel_nn(const float* a, const float* b, float* c, std::size_t lda,
                    std::size_t k, std::size_t n, std::size_t i0, std::size_t i1,

@@ -9,7 +9,9 @@
 // reorders any output element's accumulation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -64,6 +66,16 @@ const GemmOp kOps[] = {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT};
 /// The operand that carries the pruning mask: A for nn/tn, B for nt.
 WeightSide masked_side(int variant) { return variant == 2 ? WeightSide::kB : WeightSide::kA; }
 
+/// C before a GEMM: accumulate targets start from a fixed nonzero pattern so
+/// C += is exercised.
+std::vector<float> initial_c(std::size_t size, bool accumulate) {
+  std::vector<float> c(size);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = accumulate ? 0.25f * static_cast<float>(i % 7) : -99.0f;
+  }
+  return c;
+}
+
 /// Runs one variant on one device. A/B are sized/laid out per variant:
 /// nn: A[m×k], B[k×n] · tn: A[k×m], B[k×n] · nt: A[m×k], B[n×k]. The masked
 /// operand is named as the weight side with uid 0, so the sparse device
@@ -71,11 +83,7 @@ WeightSide masked_side(int variant) { return variant == 2 ? WeightSide::kB : Wei
 std::vector<float> run_variant(const Device& device, int variant,
                                const std::vector<float>& a, const std::vector<float>& b,
                                const GemmCase& shape, bool accumulate, WeightSide masked) {
-  // Accumulate targets start from a fixed nonzero pattern so C += is exercised.
-  std::vector<float> c(shape.m * shape.n);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    c[i] = accumulate ? 0.25f * static_cast<float>(i % 7) : -99.0f;
-  }
+  std::vector<float> c = initial_c(shape.m * shape.n, accumulate);
   device.gemm(kOps[variant], a.data(), b.data(), c.data(), shape.m, shape.k, shape.n,
               accumulate, masked);
   return c;
@@ -222,6 +230,122 @@ TEST(BackendDeterminism, MathThreadsNeverChangeTrainingBits) {
     EXPECT_TRUE(one[e].second == four[e].second)
         << "tensor '" << one[e].first << "' differs between math_threads=1 and 4";
   }
+}
+
+// --- bitwise oracles of the blocked tiles -----------------------------------
+//
+// The blocked kernels give every output element one op chain: accumulate from
+// zero in ascending k, then store C + acc (or acc). Two consequences are
+// checked bit for bit, on the blocked device and on the sparse device with no
+// weight operand (which runs the same dense panels): kNT(A, B) equals
+// kNN(A, Bᵀ), and an m-row GEMM equals m stacked one-row GEMMs — so neither
+// the tile height (4, or the 3/2/1 tail), nor nt's k-block split, nor the row
+// chunking of math_threads changes a bit.
+
+::testing::AssertionResult bitwise_equal(const std::vector<float>& want,
+                                         const std::vector<float>& got) {
+  if (want.size() != got.size()) return ::testing::AssertionFailure() << "size differs";
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(want[i]) != std::bit_cast<std::uint32_t>(got[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << want[i] << " vs " << got[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Epilogue over `m` rows with every term on, offset to start at `row`.
+struct OracleEpilogue {
+  std::vector<float> bias, mean, var, gamma, beta;
+
+  OracleEpilogue(Rng& rng, std::size_t m)
+      : bias(random_matrix(rng, m)), mean(random_matrix(rng, m)), var(m),
+        gamma(random_matrix(rng, m)), beta(random_matrix(rng, m)) {
+    for (float& v : var) v = 0.5f + static_cast<float>(rng.uniform());
+  }
+  GemmEpilogue at(std::size_t row) const {
+    return GemmEpilogue{bias.data() + row, mean.data() + row, var.data() + row,
+                        gamma.data() + row, beta.data() + row, 1e-5f, /*relu=*/true};
+  }
+};
+
+constexpr const char* kOracleOps[] = {"nn", "tn", "nt", "fused"};
+
+/// One GEMM of `op` (an index into kOracleOps) over m rows; `a` is laid out
+/// for the op (tn: [k×m]), `b` is [k×n] except for nt ([n×k]).
+void oracle_gemm(const Device& device, int op, const float* a, const float* b, float* c,
+                 std::size_t m, std::size_t k, std::size_t n, bool accumulate,
+                 const GemmEpilogue* ep) {
+  const GemmOp ops[] = {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT, GemmOp::kNN};
+  device.gemm(ops[op], a, b, c, m, k, n, accumulate, WeightSide::kNone, 0, 0,
+              op == 3 ? ep : nullptr);
+}
+
+/// Every row of `op` run as its own one-row GEMM.
+std::vector<float> stacked_rows(const Device& device, int op, const std::vector<float>& a,
+                                const std::vector<float>& b, std::size_t m, std::size_t k,
+                                std::size_t n, bool accumulate, const OracleEpilogue& ep) {
+  std::vector<float> c = initial_c(m * n, accumulate);
+  std::vector<float> column(k);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = a.data() + i * k;
+    if (op == 1) {  // tn: row i of op(A) is column i of the stored [k×m] A
+      for (std::size_t p = 0; p < k; ++p) column[p] = a[p * m + i];
+      row = column.data();
+    }
+    const GemmEpilogue row_ep = ep.at(i);
+    oracle_gemm(device, op, row, b.data(), c.data() + i * n, 1, k, n, accumulate, &row_ep);
+  }
+  return c;
+}
+
+TEST(BackendBitwise, TileHeightsAndKBlocksKeepEachElementsOpChain) {
+  const std::size_t kc = kern::kKc;
+  const std::size_t depths[] = {1, kc - 1, kc, kc + 1, 3 * kc + 5, 7840};
+  const std::size_t widths[] = {1, 15, 16, 17, 75};
+  Rng rng(71);
+  for (const std::size_t k : depths) {
+    for (const std::size_t n : widths) {
+      for (std::size_t m = 1; m <= 9; ++m) {
+        const std::vector<float> a = random_matrix(rng, m * k);
+        const std::vector<float> b = random_matrix(rng, k * n);  // [k×n], or [n×k] for nt
+        std::vector<float> bt(k * n);                            // b read as [n×k], transposed
+        for (std::size_t j = 0; j < n; ++j) {
+          for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+        }
+        const OracleEpilogue ep(rng, m);
+        const GemmEpilogue full_ep = ep.at(0);
+        for (const char* name : {"blocked", "sparse"}) {
+          const Device& device = get_device(name);
+          for (const bool accumulate : {false, true}) {
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+              set_math_threads(threads);
+              const std::string shape = std::string(name) + " " + std::to_string(m) + "x" +
+                                        std::to_string(k) + "x" + std::to_string(n) +
+                                        (accumulate ? " acc" : "") + " threads " +
+                                        std::to_string(threads);
+              std::vector<float> nt = initial_c(m * n, accumulate);
+              oracle_gemm(device, 2, a.data(), b.data(), nt.data(), m, k, n, accumulate,
+                          nullptr);
+              std::vector<float> nn_of_bt = initial_c(m * n, accumulate);
+              oracle_gemm(device, 0, a.data(), bt.data(), nn_of_bt.data(), m, k, n,
+                          accumulate, nullptr);
+              ASSERT_TRUE(bitwise_equal(nn_of_bt, nt)) << "nt(A, B) vs nn(A, Bt) " << shape;
+              for (int op = 0; op < 4; ++op) {
+                std::vector<float> whole = initial_c(m * n, accumulate);
+                oracle_gemm(device, op, a.data(), b.data(), whole.data(), m, k, n,
+                            accumulate, &full_ep);
+                ASSERT_TRUE(bitwise_equal(
+                    stacked_rows(device, op, a, b, m, k, n, accumulate, ep), whole))
+                    << kOracleOps[op] << " m rows vs m one-row GEMMs " << shape;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_math_threads(0);
 }
 
 // --- layer-level equivalence ------------------------------------------------
