@@ -125,9 +125,10 @@ void BM_GemmDevice(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmDevice)->Arg(128)->Arg(256);
 
-/// args: {device index, kept channels m} — conv1's weight gradient in a
-/// LeNet-5 train step at batch 10: dW[m×75] += dY[m×7840]·colsᵀ, a kNT GEMM
-/// whose B (the 75×7840 patch matrix) does not shrink with the kept channels.
+/// args: {device index, kept channels m} — conv1's weight-gradient GEMM shape
+/// in a LeNet-5 train step at batch 10, dW[m×75] += dY[m×7840]·colsᵀ, run as
+/// a plain kNT GEMM over a materialized 75×7840 B (the layer itself reads B
+/// from the image; see BM_ConvForwardConv1).
 /// m = 6 is the dense layer, m = 1 a client compacted to one channel. One
 /// math thread, as inside a federation's client task.
 void BM_GemmBackendWeightGrad(benchmark::State& state) {
@@ -164,8 +165,9 @@ void BM_LeNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LeNetForward);
 
-/// args: {device index, weight density %} — whole-model forward through the
-/// batched-im2col conv path on each device.
+/// args: {device index, weight density %} — whole-model forward through each
+/// device's conv path (implicit GEMM on blocked, unrolled on naive and on
+/// sparse when it runs CSR).
 void BM_ConvForwardBackend(benchmark::State& state) {
   Rng rng(2);
   ModelSpec spec = ModelSpec::lenet5(10);
@@ -289,6 +291,40 @@ void BM_ConvForwardTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_ConvForwardTrainStep)->Arg(0)->Arg(1);
+
+/// args: {mode, kept channels} — LeNet-5's conv1 (3→6, 5×5, 32×32 input)
+/// alone on the blocked device at one math thread, as inside a federation's
+/// client task, with 6 (full) or 1 kept output channel. mode 0 is the train
+/// step's forward + weight/bias gradient at batch 10 (conv1's input gradient
+/// is never read); mode 1 is the eval forward at batch 64. The implicit GEMM
+/// reads the image in place, so both should scale with the kept channels.
+void BM_ConvForwardConv1(benchmark::State& state) {
+  const std::size_t prev_threads = math_threads();
+  set_math_threads(1);
+  const bool train = state.range(0) == 0;
+  const std::size_t kept = static_cast<std::size_t>(state.range(1));
+  Rng rng(2);
+  Conv2d conv("conv1", 3, 6, 5);
+  conv.init(rng);
+  conv.set_device(&get_device("blocked"));
+  conv.set_input_grad(false);
+  if (kept < 6) conv.set_kept_channels({}, {0});
+  const std::size_t batch = train ? 10 : 64;
+  Tensor x({batch, 3, 32, 32});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  Tensor grad({batch, kept, 28, 28}, 1.0f);
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, train);
+    if (train) conv.backward(grad);
+    benchmark::DoNotOptimize(y.data());
+  }
+  set_math_threads(prev_threads);
+  state.SetLabel(std::string(train ? "train_b10" : "eval_b64") + "/kept" +
+                 std::to_string(kept));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_ConvForwardConv1)->Args({0, 6})->Args({0, 1})->Args({1, 6})->Args({1, 1});
 
 void BM_MagnitudeMaskDerivation(benchmark::State& state) {
   Rng rng(3);

@@ -1,6 +1,10 @@
-// 2-D convolution (square kernel) via batched im2col + GEMM: the whole batch
-// is unrolled into one [C·K·K, N·outH·outW] patch matrix so each pass is a
-// single large GEMM on the layer's Device instead of a per-sample loop.
+// 2-D convolution (square kernel) as implicit GEMM on the layer's Device:
+// the forward and the weight gradient are GEMMs against the batch's
+// [C·K·K, N·outH·outW] patch matrix, which the blocked device reads straight
+// from the NCHW input (Device::conv_forward / conv_weight_grad) instead of
+// unrolling it. The layer holds no scratch between calls; only a backward
+// whose input gradient is read leases the batch's patch-gradient matrix for
+// col2im, for the length of that call.
 #pragma once
 
 #include <vector>
@@ -28,7 +32,7 @@ class Conv2d final : public Layer {
   /// terms are applied inside the GEMM store-back (this layer's bias is added
   /// automatically). Driven by Model's fused eval forward; never caches the
   /// input, so a subsequent backward fails loudly like any eval forward.
-  Tensor forward_fused(const Tensor& input, GemmEpilogue epilogue);
+  Tensor forward_fused(const Tensor& input, const GemmEpilogue& epilogue);
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string kind() const override { return "Conv2d"; }
@@ -52,7 +56,8 @@ class Conv2d final : public Layer {
   void set_kept_channels(KeptChannels in, KeptChannels out);
 
  private:
-  Tensor forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue);
+  /// Forward with `epilogue` (its bias is overwritten with this layer's).
+  Tensor forward_impl(const Tensor& input, bool train, GemmEpilogue epilogue);
   CompactedMatrix weight_matrix() const noexcept {
     return {out_keep_, out_channels_, in_keep_, in_channels_, kernel_ * kernel_};
   }
@@ -62,15 +67,10 @@ class Conv2d final : public Layer {
   Parameter bias_;
   KeptChannels in_keep_, out_keep_;
   WorkspaceLease weight_view_;     // gathered kept filter block (compacted only)
-  std::vector<float> bias_view_;   // gathered kept biases for the fused epilogue
-  Tensor cached_input_;  // [N, C, H, W] saved by forward for backward
-  /// im2col patches [patch × N·spatial], leased from the layer's device and
-  /// held across calls. Invariant: whenever cached_input_ is non-empty (only
-  /// train-mode forwards set it, and eval forwards clear it), `columns_`
-  /// holds exactly that input's patches — so backward never recomputes the
-  /// im2col. Other scratch (forward GEMM output, backward column/packed
-  /// grads) is leased per call and returned to the device pool on scope exit.
-  WorkspaceLease columns_;
+  std::vector<float> bias_view_;   // gathered kept biases for the epilogue
+  /// [N, C, H, W] saved by a train-mode forward: backward reads the weight
+  /// gradient's patches from it.
+  Tensor cached_input_;
 };
 
 }  // namespace subfed

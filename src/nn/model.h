@@ -105,7 +105,7 @@ class Model {
   /// Sets the slimming L1 strength on every BatchNorm layer.
   void set_bn_l1(float strength);
 
-  /// Routes every layer's GEMM/im2col calls through `device` (nullptr
+  /// Routes every layer's GEMM and conv calls through `device` (nullptr
   /// restores the process default). See tensor/device.h.
   void set_device(const Device* device) noexcept;
 

@@ -70,12 +70,6 @@ struct PlanEntry {
 
 constexpr std::size_t kMaxDecisionsPerShape = 8;
 
-/// What Device::gemm resolved for one call.
-struct Plan {
-  std::size_t chunks = 1;
-  bool use_sparse = false;
-};
-
 constexpr std::size_t kMinLeaseFloats = 256;
 
 std::size_t lease_class(std::size_t floats) noexcept {
@@ -197,11 +191,6 @@ DeviceStats Device::stats() const noexcept {
   return s;
 }
 
-void Device::im2col(const float* image, const ConvGeometry& g, float* columns,
-                    std::size_t col_stride, std::size_t col_offset) const {
-  im2col_strided(image, g, columns, col_stride, col_offset);
-}
-
 void Device::col2im(const float* columns, const ConvGeometry& g, float* image,
                     std::size_t col_stride, std::size_t col_offset) const {
   col2im_strided(columns, g, image, col_stride, col_offset);
@@ -225,21 +214,79 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
                   std::size_t k, std::size_t n, bool accumulate, WeightSide weight_side,
                   std::uint64_t weight_uid, std::uint64_t weight_epoch,
                   const GemmEpilogue* epilogue) const {
-  static telemetry::Counter& plan_hit_c = telemetry::counter("device.plan_hit");
-  static telemetry::Counter& plan_miss_c = telemetry::counter("device.plan_miss");
-  static telemetry::Counter& density_scan_c = telemetry::counter("device.density_scan");
-
   if (kern::handle_trivial(c, m, k, n, accumulate)) {
     if (epilogue != nullptr && m > 0 && n > 0) kern::apply_epilogue_rows(c, n, 0, m, *epilogue);
     return;
   }
+  const Plan p = plan(op, weight_side, a, b, m, k, n, weight_uid, weight_epoch);
+  execute(op, weight_side, a, b, c, m, k, n, accumulate, p.chunks, p.use_sparse, epilogue);
+}
+
+void Device::conv_forward(const float* weight, std::size_t m, const float* input,
+                          std::size_t batch, const ConvGeometry& g, float* output,
+                          const GemmEpilogue* epilogue, std::uint64_t weight_uid,
+                          std::uint64_t weight_epoch) const {
+  const std::size_t k = g.patch_size(), spatial = g.out_h() * g.out_w(), cols = batch * spatial;
+  if (m == 0 || cols == 0) return;
+  const Plan p = plan(GemmOp::kNN, WeightSide::kA, weight, nullptr, m, k, cols, weight_uid,
+                      weight_epoch);
+  if (impl_->kind != Kind::kNaive && !p.use_sparse) {
+    kern::conv_forward(weight, m, input, batch, g, output, epilogue);
+    return;
+  }
+  // Unrolled: the whole batch's patch matrix, one GEMM, then a regroup of
+  // [m, N·spatial] into [N, m, spatial].
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  WorkspaceLease columns = lease(k * cols);
+  WorkspaceLease product = lease(m * cols);
+  for (std::size_t n = 0; n < batch; ++n) {
+    im2col_strided(input + n * in_plane, g, columns.data(), cols, n * spatial);
+  }
+  execute(GemmOp::kNN, WeightSide::kA, weight, columns.data(), product.data(), m, k, cols,
+          /*accumulate=*/false, p.chunks, p.use_sparse, epilogue);
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t row = 0; row < m; ++row) {
+      std::memcpy(output + (n * m + row) * spatial, product.data() + row * cols + n * spatial,
+                  spatial * sizeof(float));
+    }
+  }
+}
+
+void Device::conv_weight_grad(const float* grad_output, std::size_t m, const float* input,
+                              std::size_t batch, const ConvGeometry& g, float* dw) const {
+  const std::size_t k = g.patch_size(), spatial = g.out_h() * g.out_w(), cols = batch * spatial;
+  if (m == 0 || k == 0 || cols == 0) return;
+  if (impl_->kind != Kind::kNaive) {
+    kern::conv_weight_grad(grad_output, m, input, batch, g, dw);
+    return;
+  }
+  // Unrolled: dY regrouped to [m, N·spatial] against the batch's patches.
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  WorkspaceLease columns = lease(k * cols);
+  WorkspaceLease dy = lease(m * cols);
+  for (std::size_t n = 0; n < batch; ++n) {
+    im2col_strided(input + n * in_plane, g, columns.data(), cols, n * spatial);
+    for (std::size_t row = 0; row < m; ++row) {
+      std::memcpy(dy.data() + row * cols + n * spatial, grad_output + (n * m + row) * spatial,
+                  spatial * sizeof(float));
+    }
+  }
+  gemm_a_bt_accumulate(dy.data(), columns.data(), dw, m, cols, k);
+}
+
+Device::Plan Device::plan(GemmOp op, WeightSide weight_side, const float* a, const float* b,
+                          std::size_t m, std::size_t k, std::size_t n, std::uint64_t weight_uid,
+                          std::uint64_t weight_epoch) const {
+  static telemetry::Counter& plan_hit_c = telemetry::counter("device.plan_hit");
+  static telemetry::Counter& plan_miss_c = telemetry::counter("device.plan_miss");
+  static telemetry::Counter& density_scan_c = telemetry::counter("device.density_scan");
 
   // Resolve the execution plan: chunk fan-out always; sparse-vs-dense only on
   // the sparse device, and only for a named weight operand.
   const auto [weight_ptr, weight_size] = weight_operand(op, weight_side, a, b, m, k, n);
   const bool want_sparse_decision = impl_->kind == Kind::kSparse && weight_ptr != nullptr;
 
-  Plan plan;
+  Plan resolved;
   bool hit = true;
   bool need_scan = false;
   const PlanKey key{op, weight_side, m, k, n};
@@ -253,7 +300,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
       entry.threads_seen = threads_now;
       hit = false;
     }
-    plan.chunks = entry.chunks;
+    resolved.chunks = entry.chunks;
     if (want_sparse_decision) {
       if (weight_uid == 0) {
         need_scan = true;  // anonymous weight: scan on every call
@@ -262,7 +309,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
         auto it = std::find_if(entry.decisions.begin(), entry.decisions.end(),
                                [&](const WeightDecision& d) { return d.uid == weight_uid; });
         if (it != entry.decisions.end() && it->epoch == weight_epoch) {
-          plan.use_sparse = it->use_sparse;
+          resolved.use_sparse = it->use_sparse;
           if (it != entry.decisions.begin()) std::rotate(entry.decisions.begin(), it, it + 1);
         } else {
           need_scan = true;
@@ -276,7 +323,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
     // same weight once each, then all insert the identical decision.
     impl_->density_scans.fetch_add(1, std::memory_order_relaxed);
     density_scan_c.add();
-    plan.use_sparse = kern::density(weight_ptr, weight_size) <= sparse_density_threshold();
+    resolved.use_sparse = kern::density(weight_ptr, weight_size) <= sparse_density_threshold();
     if (weight_uid != 0) {
       std::lock_guard<std::mutex> lock(impl_->plan_mu);
       PlanEntry& entry = impl_->plans[key];
@@ -284,7 +331,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
                              [&](const WeightDecision& d) { return d.uid == weight_uid; });
       if (it != entry.decisions.end()) entry.decisions.erase(it);
       entry.decisions.insert(entry.decisions.begin(),
-                             WeightDecision{weight_uid, weight_epoch, plan.use_sparse});
+                             WeightDecision{weight_uid, weight_epoch, resolved.use_sparse});
       if (entry.decisions.size() > kMaxDecisionsPerShape) entry.decisions.pop_back();
     }
   }
@@ -295,9 +342,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
     impl_->plan_misses.fetch_add(1, std::memory_order_relaxed);
     plan_miss_c.add();
   }
-
-  execute(op, weight_side, a, b, c, m, k, n, accumulate, plan.chunks, plan.use_sparse,
-          epilogue);
+  return resolved;
 }
 
 void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,

@@ -1,5 +1,5 @@
 // Storage-owning compute devices — the single compute seam every GEMM and
-// im2col in the layer hot path goes through.
+// convolution in the layer hot path goes through.
 //
 // A device is one of three kernel sets, chosen by name from the registry
 // below, plus the execution state the raw kernels (tensor/kernels.h,
@@ -17,8 +17,10 @@
 //
 // On top of the kernels each device owns:
 //
-//   * workspace leases — layers lease scratch from a per-device pooled
-//     allocator (RAII WorkspaceLease) instead of owning grow-only vectors;
+//   * workspace leases — scratch comes from a per-device pooled allocator
+//     (RAII WorkspaceLease), leased per call and returned on scope exit: the
+//     blocked conv is an implicit GEMM that reads its patches from the input
+//     tensor, so no layer holds a patch matrix between calls;
 //   * an execution-plan cache keyed on (op, m/k/n, weight side) that picks
 //     the thread fan-out once and caches the sparse-vs-dense decision per
 //     weight (parameter uid + mask epoch, so a pruning pass invalidates it)
@@ -149,8 +151,23 @@ class Device {
             WeightSide weight_side = WeightSide::kNone, std::uint64_t weight_uid = 0,
             std::uint64_t weight_epoch = 0, const GemmEpilogue* epilogue = nullptr) const;
 
-  void im2col(const float* image, const ConvGeometry& g, float* columns,
-              std::size_t col_stride, std::size_t col_offset) const;
+  /// Conv forward: output[N, m, oh, ow] = W[m × g.patch_size()] applied to
+  /// each sample of input[N, C, H, W], then `epilogue` (the conv bias and any
+  /// fused bn/activation; nullptr = none). The weight is a named operand like
+  /// gemm's WeightSide::kA. Blocked (and sparse running dense) is the
+  /// implicit GEMM of tensor/kernels.h on the calling thread; naive and
+  /// sparse-with-CSR unroll the batch into a per-call lease and run their
+  /// GEMM. Bit-identical to im2col_strided + gemm(kNN) on the same device.
+  void conv_forward(const float* weight, std::size_t m, const float* input, std::size_t batch,
+                    const ConvGeometry& g, float* output, const GemmEpilogue* epilogue,
+                    std::uint64_t weight_uid, std::uint64_t weight_epoch) const;
+  /// Conv weight gradient: dw[m × g.patch_size()] += dY · patchesᵀ, dY the
+  /// [N, m, oh, ow] output gradient — gemm(kNT, accumulate) over the batch's
+  /// patch matrix, implicit on blocked and sparse, unrolled on naive.
+  void conv_weight_grad(const float* grad_output, std::size_t m, const float* input,
+                        std::size_t batch, const ConvGeometry& g, float* dw) const;
+  /// Scatter-adds one sample's patch-matrix gradient back into its image
+  /// (col2im_strided): the conv input gradient.
   void col2im(const float* columns, const ConvGeometry& g, float* image,
               std::size_t col_stride, std::size_t col_offset) const;
 
@@ -174,6 +191,15 @@ class Device {
   static const bool fork_handlers_registered_;
 
   void release(float* data, std::size_t floats) const noexcept;
+  /// Resolves fan-out and the sparse-vs-dense decision through the plan
+  /// cache (see gemm) and counts the hit or miss.
+  struct Plan {
+    std::size_t chunks = 1;
+    bool use_sparse = false;
+  };
+  Plan plan(GemmOp op, WeightSide side, const float* a, const float* b, std::size_t m,
+            std::size_t k, std::size_t n, std::uint64_t weight_uid,
+            std::uint64_t weight_epoch) const;
   void execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                std::size_t m, std::size_t k, std::size_t n, bool accumulate,
                std::size_t chunks, bool use_sparse, const GemmEpilogue* epilogue) const;

@@ -160,6 +160,26 @@ SUBFED_ALWAYS_INLINE void store8(float* p, v8sf v) noexcept {
 typedef float v8sf_unaligned __attribute__((vector_size(32), aligned(4)));
 #endif
 
+/// The B rows a register tile reads. StridedRows: row p of a row-major
+/// matrix (ldb = its width) or of a packed [k×kNr] panel (ldb = kNr).
+/// OffsetRows: row p = (c, ky, kx) of a conv's patch matrix read straight
+/// from the input image, `offset[p]` floats past the panel's first tap.
+struct StridedRows {
+  const float* b;
+  std::size_t ldb;
+  const float* operator()(std::size_t p) const noexcept { return b + p * ldb; }
+};
+struct OffsetRows {
+  const float* base;
+  const std::size_t* offset;
+  const float* operator()(std::size_t p) const noexcept { return base + offset[p]; }
+};
+/// B rows of a kNT pack listed one pointer each (a conv's patch rows).
+struct RowList {
+  const float* const* rows;
+  const float* operator()(std::size_t jj) const noexcept { return rows[jj]; }
+};
+
 /// A k-blocked GEMM (kNT) runs each tile once per k block and hands the
 /// accumulators from block to block through `rows`, kNr floats per output
 /// row: `resume` starts the tile from them instead of from zero, `park`
@@ -173,15 +193,16 @@ struct KCarry {
 };
 
 /// One MR×kNr register tile: rows i..i+MR of A against a kNr-wide B panel
-/// (`bpanel`, row stride ldb — either b + j inside the full matrix, or a
-/// packed zero-padded [k×kNr] buffer). Writes back the first `nr` columns to
+/// whose row p is `brows(p)` — b + j inside the full matrix, a packed
+/// zero-padded [k×kNr] buffer, or an image row of an implicit conv panel
+/// (see StridedRows, OffsetRows). Writes back the first `nr` columns to
 /// cpanel (= c + j). Every output element accumulates in ascending-k order.
 /// With kFused the accumulators route through epilogue_store instead of the
 /// raw store, so the epilogue reads them straight out of registers without a
 /// second pass over the output tensor. `carry.rows` points at row i's slot.
-template <std::size_t MR, bool kTransposedA, bool kFused>
+template <std::size_t MR, bool kTransposedA, bool kFused, typename BRows>
 SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t lda,
-                                     const float* bpanel, std::size_t ldb, float* cpanel,
+                                     const BRows& brows, float* cpanel,
                                      std::size_t ldc, std::size_t k, std::size_t nr,
                                      bool accumulate, const GemmEpilogue* ep,
                                      const KCarry& carry) noexcept {
@@ -195,7 +216,7 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
     }
   }
   for (std::size_t p = 0; p < k; ++p) {
-    const float* brow = bpanel + p * ldb;
+    const float* brow = brows(p);
     v8sf b0, b1;
     if constexpr (MR == 1) {
       b0 = load8(brow);
@@ -209,7 +230,9 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
     for (std::size_t r = 0; r < MR; ++r) {
       // A stored [k×m] keeps the panel's row values contiguous.
       const float value = kTransposedA ? a[p * lda + i + r] : a[(i + r) * lda + p];
-      const v8sf av = v8sf{} + value;  // broadcast
+      // A plain splat, one vbroadcastss (`v8sf{} + value` would add a scalar
+      // vaddss with zero in front of every broadcast).
+      const v8sf av = {value, value, value, value, value, value, value, value};
       acc0[r] += av * b0;
       acc1[r] += av * b1;
     }
@@ -249,7 +272,7 @@ SUBFED_ALWAYS_INLINE void micro_tile(const float* a, std::size_t i, std::size_t 
   float acc[MR][kNr] = {};
   if (carry.resume) std::memcpy(acc, carry.rows, sizeof(acc));
   for (std::size_t p = 0; p < k; ++p) {
-    const float* brow = bpanel + p * ldb;
+    const float* brow = brows(p);
     for (std::size_t r = 0; r < MR; ++r) {
       const float av = kTransposedA ? a[p * lda + i + r] : a[(i + r) * lda + p];
       for (std::size_t jj = 0; jj < kNr; ++jj) acc[r][jj] += av * brow[jj];
@@ -291,9 +314,9 @@ std::vector<float>& packing_scratch(std::size_t size) {
 /// depends only on i1 (always the matrix edge or a kMr-aligned chunk
 /// boundary), and every tile height accumulates identically, so threading
 /// cannot change results. `carry.rows` (k-blocked callers) holds row i0's slot.
-template <bool kTransposedA, bool kFused>
-SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const float* bpanel,
-                                    std::size_t ldb, float* cpanel, std::size_t ldc,
+template <bool kTransposedA, bool kFused, typename BRows>
+SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const BRows& brows,
+                                    float* cpanel, std::size_t ldc,
                                     std::size_t i0, std::size_t i1, std::size_t k,
                                     std::size_t nr, bool accumulate, const GemmEpilogue* ep,
                                     const KCarry& carry = {}) noexcept {
@@ -303,21 +326,21 @@ SUBFED_ALWAYS_INLINE void tile_rows(const float* a, std::size_t lda, const float
   std::size_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
     if (carry.rows != nullptr) tile.rows = carry.rows + (i - i0) * kNr;
-    micro_tile<kMr, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+    micro_tile<kMr, kTransposedA, kFused>(a, i, lda, brows, cpanel, ldc, k, nr,
                                           accumulate, ep, tile);
   }
   if (carry.rows != nullptr) tile.rows = carry.rows + (i - i0) * kNr;
   switch (i1 - i) {
     case 3:
-      micro_tile<3, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+      micro_tile<3, kTransposedA, kFused>(a, i, lda, brows, cpanel, ldc, k, nr,
                                           accumulate, ep, tile);
       break;
     case 2:
-      micro_tile<2, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+      micro_tile<2, kTransposedA, kFused>(a, i, lda, brows, cpanel, ldc, k, nr,
                                           accumulate, ep, tile);
       break;
     case 1:
-      micro_tile<1, kTransposedA, kFused>(a, i, lda, bpanel, ldb, cpanel, ldc, k, nr,
+      micro_tile<1, kTransposedA, kFused>(a, i, lda, brows, cpanel, ldc, k, nr,
                                           accumulate, ep, tile);
       break;
     default:
@@ -338,7 +361,7 @@ SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
   const std::size_t tail = n % kNr;
   const std::size_t j_end = n - tail;
   for (std::size_t j = 0; j < j_end; j += kNr) {
-    tile_rows<kTransposedA, kFused>(a, lda, b + j, n, c + j, n, i0, i1, k, kNr,
+    tile_rows<kTransposedA, kFused>(a, lda, StridedRows{b + j, n}, c + j, n, i0, i1, k, kNr,
                                     accumulate, ep);
   }
   if (tail != 0) {
@@ -349,24 +372,31 @@ SUBFED_ALWAYS_INLINE void gemm_panel(const float* a, const float* b, float* c,
       }
       for (std::size_t jj = tail; jj < kNr; ++jj) packed[p * kNr + jj] = 0.0f;
     }
-    tile_rows<kTransposedA, kFused>(a, lda, packed.data(), kNr, c + j_end, n, i0, i1, k,
-                                    tail, accumulate, ep);
+    tile_rows<kTransposedA, kFused>(a, lda, StridedRows{packed.data(), kNr}, c + j_end, n, i0,
+                                    i1, k, tail, accumulate, ep);
   }
 }
 
-/// Packs `nr` rows of B (row stride ldb) over `kb` columns transposed into a
-/// zero-padded [kb×kNr] block: packed[p·kNr + jj] = b[jj·ldb + p]. Rows
-/// before `jj0` are left to the caller.
-SUBFED_ALWAYS_INLINE void pack_nt_block(const float* b, std::size_t ldb, std::size_t nr,
-                                        std::size_t kb, float* packed,
-                                        std::size_t jj0 = 0) noexcept {
+/// Packs `nr` B rows over `kb` columns transposed into a zero-padded
+/// [kb×kNr] block: packed[p·kNr + jj] = rows(jj)[p] (StridedRows or
+/// RowList). Rows before `jj0` are left to the caller.
+template <typename Rows>
+SUBFED_ALWAYS_INLINE void pack_nt_block(const Rows& rows, std::size_t nr, std::size_t kb,
+                                        float* packed, std::size_t jj0 = 0) noexcept {
   for (std::size_t jj = jj0; jj < nr; ++jj) {
-    const float* brow = b + jj * ldb;
+    const float* brow = rows(jj);
     for (std::size_t p = 0; p < kb; ++p) packed[p * kNr + jj] = brow[p];
   }
   if (nr < kNr) {
     for (std::size_t p = 0; p < kb; ++p) std::fill_n(packed + p * kNr + nr, kNr - nr, 0.0f);
   }
+}
+
+/// The portable build's pack (the AVX2 build uses pack_nt_block_avx2).
+template <typename Rows>
+void pack_nt_block_scalar(const Rows& rows, std::size_t nr, std::size_t kb,
+                          float* packed) noexcept {
+  pack_nt_block(rows, nr, kb, packed);
 }
 
 /// nt panel body: B is stored [n×k], so each kNr-column panel is packed
@@ -385,11 +415,232 @@ SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, flo
     const std::size_t nr = std::min(kNr, n - j);
     for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
       const std::size_t kb = std::min(kKc, k - p0);
-      pack(b + j * k + p0, k, nr, kb, packed);
+      pack(StridedRows{b + j * k + p0, k}, nr, kb, packed);
       const KCarry carry{carry_floats != 0 ? packed + kKc * kNr : nullptr, p0 != 0,
                          p0 + kb < k};
-      tile_rows<false, false>(a + p0, k, packed, kNr, c + j, n, i0, i1, kb, nr, accumulate,
-                              nullptr, carry);
+      tile_rows<false, false>(a + p0, k, StridedRows{packed, kNr}, c + j, n, i0, i1, kb, nr,
+                              accumulate, nullptr, carry);
+    }
+  }
+}
+
+// --- implicit-GEMM convolution -----------------------------------------------
+// The conv GEMMs read their B operand, the patch matrix of im2col_strided
+// (row p = (c, ky, kx), one column per output pixel), straight from the NCHW
+// input. Every packed or in-place value is the one im2col_strided writes, and
+// the tiles are the GEMM's own, so each output element keeps its op chain.
+
+/// dst[t·dst_stride] for t < len: patch row (ky, kx) of one input channel
+/// `plane` [H×W] at output pixels (y, xa + t) — the image value, or 0 in the
+/// padding halo, exactly as im2col_strided writes it.
+SUBFED_ALWAYS_INLINE void copy_patch_run(const float* plane, const ConvGeometry& g,
+                                         std::size_t y, std::size_t xa, std::size_t len,
+                                         std::size_t ky, std::size_t kx, float* dst,
+                                         std::size_t dst_stride) noexcept {
+  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
+  const auto w = static_cast<std::ptrdiff_t>(g.in_w);
+  const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(y * g.stride + ky) - pad;
+  if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
+    for (std::size_t t = 0; t < len; ++t) dst[t * dst_stride] = 0.0f;
+    return;
+  }
+  const float* row = plane + iy * w;
+  if (g.stride == 1) {
+    // Input columns ix0 + t; [lo, hi) of them lie inside the row.
+    const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(xa + kx) - pad;
+    const auto n = static_cast<std::ptrdiff_t>(len);
+    const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-ix0, 0, n);
+    const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(w - ix0, lo, n);
+    for (std::ptrdiff_t t = 0; t < lo; ++t) dst[t * dst_stride] = 0.0f;
+    for (std::ptrdiff_t t = lo; t < hi; ++t) dst[t * dst_stride] = row[ix0 + t];
+    for (std::ptrdiff_t t = hi; t < n; ++t) dst[t * dst_stride] = 0.0f;
+    return;
+  }
+  for (std::size_t t = 0; t < len; ++t) {
+    const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>((xa + t) * g.stride + kx) - pad;
+    dst[t * dst_stride] = ix < 0 || ix >= w ? 0.0f : row[ix];
+  }
+}
+
+/// Packs columns [s0, s0 + nr) of one sample's patch matrix, zero-padded to
+/// kNr, into the [patch×kNr] forward panel `packed`. When every tap of the
+/// panel lies inside the image, column jj of patch row p is a load at
+/// offsets[p] past pixel jj's first tap; otherwise the panel's pixels are
+/// split into runs that each lie in one output row.
+SUBFED_ALWAYS_INLINE void pack_conv_panel(const float* image, const ConvGeometry& g,
+                                          const std::size_t* offsets, std::size_t s0,
+                                          std::size_t nr, float* packed) noexcept {
+  const std::size_t ow = g.out_w(), plane = g.in_h * g.in_w;
+  bool inside = g.stride == 1;
+  for (std::size_t jj = 0; jj < nr && inside; ++jj) {
+    const std::size_t y = (s0 + jj) / ow, x = (s0 + jj) % ow;
+    inside = y >= g.pad && y + g.kernel <= g.in_h + g.pad && x >= g.pad &&
+             x + g.kernel <= g.in_w + g.pad;
+  }
+  if (inside) {
+    std::size_t first_tap[kNr];
+    for (std::size_t jj = 0; jj < nr; ++jj) {
+      first_tap[jj] = ((s0 + jj) / ow - g.pad) * g.in_w + (s0 + jj) % ow - g.pad;
+    }
+    for (std::size_t p = 0; p < g.patch_size(); ++p) {
+      const float* src = image + offsets[p];
+      float* dst = packed + p * kNr;
+      for (std::size_t jj = 0; jj < nr; ++jj) dst[jj] = src[first_tap[jj]];
+      std::fill(dst + nr, dst + kNr, 0.0f);
+    }
+    return;
+  }
+  std::size_t run_y[kNr], run_x[kNr], run_q[kNr + 1], runs = 0;
+  for (std::size_t q = 0; q < nr; ++runs) {
+    run_y[runs] = (s0 + q) / ow;
+    run_x[runs] = (s0 + q) % ow;
+    run_q[runs] = q;
+    q += std::min(ow - run_x[runs], nr - q);
+  }
+  run_q[runs] = nr;
+  std::size_t p = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++p) {
+        float* dst = packed + p * kNr;
+        for (std::size_t r = 0; r < runs; ++r) {
+          copy_patch_run(image + c * plane, g, run_y[r], run_x[r], run_q[r + 1] - run_q[r], ky,
+                         kx, dst + run_q[r], 1);
+        }
+        std::fill(dst + nr, dst + kNr, 0.0f);
+      }
+    }
+  }
+}
+
+/// Per-thread offset table of an implicit conv panel: patch row p = (c, ky,
+/// kx) sits c·H·W + ky·W + kx floats past the panel's first tap.
+const std::size_t* patch_offsets(const ConvGeometry& g) {
+  thread_local std::vector<std::size_t> offsets;
+  offsets.resize(g.patch_size());
+  std::size_t p = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+        offsets[p++] = (c * g.in_h + ky) * g.in_w + kx;
+      }
+    }
+  }
+  return offsets.data();
+}
+
+/// Implicit conv forward, C_n[m × oh·ow] = W[m × patch] · patches(image_n)
+/// for every sample, stored straight into out [N, m, oh, ow] (ldc = oh·ow).
+/// A stride-1 output row at least kNr wide is covered by kNr-pixel panels,
+/// the last one shifted left to end at the row's end (its overlap recomputes
+/// the same bits). A panel whose every tap lies inside the image reads B in
+/// place through the offset table; any other panel — padding, stride > 1,
+/// or rows narrower than kNr, where panels run over consecutive pixels — is
+/// packed into L1 scratch. Without kFused the epilogue (a bias at most)
+/// runs as a row post-pass per sample, the unfused layer's own expression.
+template <bool kFused>
+SUBFED_ALWAYS_INLINE void conv_forward_body(const float* w, std::size_t m,
+                                            const float* images, std::size_t batch,
+                                            const ConvGeometry& g, float* out,
+                                            const GemmEpilogue* ep) {
+  const std::size_t k = g.patch_size(), oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  const std::size_t* offsets = patch_offsets(g);
+  float* packed = packing_scratch(k * kNr).data();
+  const bool row_panels = g.stride == 1 && ow >= kNr;
+  for (std::size_t n = 0; n < batch; ++n) {
+    const float* image = images + n * in_plane;
+    float* c = out + n * m * spatial;
+    if (row_panels) {
+      for (std::size_t y = 0; y < oh; ++y) {
+        const bool rows_inside = y >= g.pad && y + g.kernel <= g.in_h + g.pad;
+        for (std::size_t x0 = 0; x0 < ow; x0 += kNr) {
+          const std::size_t x = std::min(x0, ow - kNr);
+          if (rows_inside && x >= g.pad && x + kNr + g.kernel <= g.in_w + g.pad + 1) {
+            const float* base = image + (y - g.pad) * g.in_w + (x - g.pad);
+            tile_rows<false, kFused>(w, k, OffsetRows{base, offsets}, c + y * ow + x, spatial,
+                                     0, m, k, kNr, false, ep);
+          } else {
+            pack_conv_panel(image, g, offsets, y * ow + x, kNr, packed);
+            tile_rows<false, kFused>(w, k, StridedRows{packed, kNr}, c + y * ow + x, spatial,
+                                     0, m, k, kNr, false, ep);
+          }
+        }
+      }
+    } else {
+      for (std::size_t s0 = 0; s0 < spatial; s0 += kNr) {
+        const std::size_t nr = std::min(kNr, spatial - s0);
+        pack_conv_panel(image, g, offsets, s0, nr, packed);
+        tile_rows<false, kFused>(w, k, StridedRows{packed, kNr}, c + s0, spatial, 0, m, k, nr,
+                                 false, ep);
+      }
+    }
+    if (!kFused && ep != nullptr) apply_epilogue_rows(c, spatial, 0, m, *ep);
+  }
+}
+
+/// Packs the [kb×kNr] kNT block of patch rows [j, j + nr) over pixels
+/// [s0, s0 + kb) of one sample, transposed and zero-padded like
+/// pack_nt_block. Each run of pixels in one output row is a contiguous span
+/// of every patch row's image row when the conv has stride 1 and the run's
+/// taps all lie inside the image; those runs go through `pack` (the 8×8
+/// transposes on AVX2), the rest through copy_patch_run.
+template <typename PackFn>
+SUBFED_ALWAYS_INLINE void pack_conv_nt_block(const float* image, const ConvGeometry& g,
+                                             const std::size_t* offsets, std::size_t j,
+                                             std::size_t nr, std::size_t s0, std::size_t kb,
+                                             float* packed, PackFn pack) {
+  const std::size_t ow = g.out_w(), kk = g.kernel * g.kernel, plane = g.in_h * g.in_w;
+  const float* rows[kNr];
+  for (std::size_t q = 0; q < kb;) {
+    const std::size_t y = (s0 + q) / ow, xa = (s0 + q) % ow, len = std::min(ow - xa, kb - q);
+    float* dst = packed + q * kNr;
+    if (g.stride == 1 && y >= g.pad && y + g.kernel <= g.in_h + g.pad && xa >= g.pad &&
+        xa + len + g.kernel <= g.in_w + g.pad + 1) {
+      const float* base = image + (y - g.pad) * g.in_w + (xa - g.pad);
+      for (std::size_t jj = 0; jj < nr; ++jj) rows[jj] = base + offsets[j + jj];
+      pack(RowList{rows}, nr, len, dst);
+    } else {
+      for (std::size_t jj = 0; jj < nr; ++jj) {
+        const std::size_t p = j + jj;
+        copy_patch_run(image + p / kk * plane, g, y, xa, len, p % kk / g.kernel, p % g.kernel,
+                       dst + jj, kNr);
+      }
+      for (std::size_t t = 0; t < len; ++t) {
+        std::fill(dst + t * kNr + nr, dst + (t + 1) * kNr, 0.0f);
+      }
+    }
+    q += len;
+  }
+}
+
+/// Implicit conv weight gradient, dW[m × patch] += Σ_n dY_n[m × oh·ow] ·
+/// patches(image_n)ᵀ: gemm_panel_nt_body with k = N·oh·ow, its kKc blocks cut
+/// at sample boundaries so that A is each sample's dY read in place
+/// (lda = oh·ow) and B is packed from the image. The carry makes the block
+/// split invisible: every element accumulates over the batch's pixels in
+/// ascending order from zero, then adds to dW once.
+template <typename PackFn>
+SUBFED_ALWAYS_INLINE void conv_weight_grad_body(const float* dy, std::size_t m,
+                                                const float* images, std::size_t batch,
+                                                const ConvGeometry& g, float* dw,
+                                                PackFn pack) {
+  const std::size_t k = g.patch_size(), spatial = g.out_h() * g.out_w();
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  const std::size_t* offsets = patch_offsets(g);
+  const bool blocked = batch > 1 || spatial > kKc;
+  float* packed = packing_scratch(kKc * kNr + (blocked ? m * kNr : 0)).data();
+  float* carry_rows = blocked ? packed + kKc * kNr : nullptr;
+  for (std::size_t j = 0; j < k; j += kNr) {
+    const std::size_t nr = std::min(kNr, k - j);
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t s0 = 0; s0 < spatial; s0 += kKc) {
+        const std::size_t kb = std::min(kKc, spatial - s0);
+        pack_conv_nt_block(images + n * in_plane, g, offsets, j, nr, s0, kb, packed, pack);
+        const KCarry carry{carry_rows, n != 0 || s0 != 0, n + 1 < batch || s0 + kb < spatial};
+        tile_rows<false, false>(dy + n * m * spatial + s0, spatial, StridedRows{packed, kNr},
+                                dw + j, k, 0, m, kb, nr, /*accumulate=*/true, nullptr, carry);
+      }
     }
   }
 }
@@ -401,15 +652,18 @@ SUBFED_ALWAYS_INLINE void gemm_panel_nt_body(const float* a, const float* b, flo
 /// pack_nt_block with in-register 8×8 transposes: eight B rows × eight
 /// columns load as eight vectors and store as eight packed rows. A pure copy,
 /// so the packed block is the same bits as the scalar loop's.
-SUBFED_AVX2_TARGET void pack_nt_block_avx2(const float* b, std::size_t ldb, std::size_t nr,
-                                           std::size_t kb, float* packed) noexcept {
-  const std::size_t p_end = kb - kb % 8;
+template <typename Rows>
+SUBFED_AVX2_TARGET void pack_nt_block_avx2(const Rows& rows, std::size_t nr, std::size_t kb,
+                                           float* packed) noexcept {
+  // Past the last whole 8 columns, one more transpose ends at column kb,
+  // rewriting a few packed rows with the same values; only kb < 8 is scalar.
+  const std::size_t p_end = kb < 8 ? 0 : kb;
   std::size_t jj = 0;
   for (; jj + 8 <= nr; jj += 8) {
-    const float* src = b + jj * ldb;
-    for (std::size_t p = 0; p < p_end; p += 8) {
+    for (std::size_t p8 = 0; p8 < p_end; p8 += 8) {
+      const std::size_t p = std::min(p8, kb - 8);
       __m256 r[8];
-      for (std::size_t q = 0; q < 8; ++q) r[q] = _mm256_loadu_ps(src + q * ldb + p);
+      for (std::size_t q = 0; q < 8; ++q) r[q] = _mm256_loadu_ps(rows(jj + q) + p);
       __m256 t[8];
       for (std::size_t q = 0; q < 8; q += 2) {
         t[q] = _mm256_unpacklo_ps(r[q], r[q + 1]);
@@ -430,10 +684,10 @@ SUBFED_AVX2_TARGET void pack_nt_block_avx2(const float* b, std::size_t ldb, std:
       }
     }
     for (std::size_t p = p_end; p < kb; ++p) {
-      for (std::size_t q = 0; q < 8; ++q) packed[p * kNr + jj + q] = src[q * ldb + p];
+      for (std::size_t q = 0; q < 8; ++q) packed[p * kNr + jj + q] = rows(jj + q)[p];
     }
   }
-  pack_nt_block(b, ldb, nr, kb, packed, jj);
+  pack_nt_block(rows, nr, kb, packed, jj);
 }
 
 SUBFED_AVX2_TARGET void gemm_panel_nn_avx2(const float* a, const float* b, float* c,
@@ -451,7 +705,7 @@ SUBFED_AVX2_TARGET void gemm_panel_tn_avx2(const float* a, const float* b, float
 SUBFED_AVX2_TARGET void gemm_panel_nt_avx2(const float* a, const float* b, float* c,
                                            std::size_t k, std::size_t n, std::size_t i0,
                                            std::size_t i1, bool accumulate) {
-  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate, pack_nt_block_avx2);
+  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate, pack_nt_block_avx2<StridedRows>);
 }
 SUBFED_AVX2_TARGET void gemm_panel_nn_fused_avx2(const float* a, const float* b, float* c,
                                                  std::size_t lda, std::size_t k,
@@ -459,6 +713,20 @@ SUBFED_AVX2_TARGET void gemm_panel_nn_fused_avx2(const float* a, const float* b,
                                                  std::size_t i1, bool accumulate,
                                                  const GemmEpilogue& ep) {
   gemm_panel<false, true>(a, b, c, lda, k, n, i0, i1, accumulate, &ep);
+}
+SUBFED_AVX2_TARGET void conv_forward_avx2(const float* w, std::size_t m, const float* images,
+                                          std::size_t batch, const ConvGeometry& g,
+                                          float* out, const GemmEpilogue* ep, bool fused) {
+  if (fused) {
+    conv_forward_body<true>(w, m, images, batch, g, out, ep);
+  } else {
+    conv_forward_body<false>(w, m, images, batch, g, out, ep);
+  }
+}
+SUBFED_AVX2_TARGET void conv_weight_grad_avx2(const float* dy, std::size_t m,
+                                              const float* images, std::size_t batch,
+                                              const ConvGeometry& g, float* dw) {
+  conv_weight_grad_body(dy, m, images, batch, g, dw, pack_nt_block_avx2<RowList>);
 }
 #endif
 
@@ -496,9 +764,7 @@ void gemm_panel_nt(const float* a, const float* b, float* c, std::size_t k, std:
     return;
   }
 #endif
-  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate,
-                     [](const float* bb, std::size_t ldb, std::size_t nr, std::size_t kb,
-                        float* packed) { pack_nt_block(bb, ldb, nr, kb, packed); });
+  gemm_panel_nt_body(a, b, c, k, n, i0, i1, accumulate, pack_nt_block_scalar<StridedRows>);
 }
 
 void gemm_panel_nn_fused(const float* a, const float* b, float* c, std::size_t lda,
@@ -519,6 +785,35 @@ void apply_epilogue_rows(float* c, std::size_t n, std::size_t i0, std::size_t i1
     float* crow = c + i * n;
     epilogue_store(crow, crow, n, i, ep, /*accumulate=*/false);
   }
+}
+
+void conv_forward(const float* w, std::size_t m, const float* images, std::size_t batch,
+                  const ConvGeometry& g, float* out, const GemmEpilogue* ep) {
+  // Only a bn or relu term needs the register-tile store-back; a bias alone
+  // is the post-pass.
+  const bool fused = ep != nullptr && (ep->mean != nullptr || ep->relu);
+#if SUBFED_X86_DISPATCH
+  if (cpu_has_avx2_fma()) {
+    conv_forward_avx2(w, m, images, batch, g, out, ep, fused);
+    return;
+  }
+#endif
+  if (fused) {
+    conv_forward_body<true>(w, m, images, batch, g, out, ep);
+  } else {
+    conv_forward_body<false>(w, m, images, batch, g, out, ep);
+  }
+}
+
+void conv_weight_grad(const float* dy, std::size_t m, const float* images, std::size_t batch,
+                      const ConvGeometry& g, float* dw) {
+#if SUBFED_X86_DISPATCH
+  if (cpu_has_avx2_fma()) {
+    conv_weight_grad_avx2(dy, m, images, batch, g, dw);
+    return;
+  }
+#endif
+  conv_weight_grad_body(dy, m, images, batch, g, dw, pack_nt_block_scalar<RowList>);
 }
 
 // --- sparse kernels ----------------------------------------------------------

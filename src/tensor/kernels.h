@@ -2,9 +2,11 @@
 //
 // The compute stack has two layers:
 //
-//   tensor/kernels.h  — raw panel/sparse kernels + the row-chunk runner
-//                       (this header; no state beyond the math-thread cap),
-//                       beside the reference loops in tensor/gemm.h
+//   tensor/kernels.h  — raw panel/sparse kernels, the implicit-GEMM conv
+//                       kernels + the row-chunk runner (this header; no
+//                       state beyond the math-thread cap and per-thread L1
+//                       packing scratch), beside the reference loops in
+//                       tensor/gemm.h
 //   tensor/device.h   — storage-owning devices: dispatch over the kernels,
 //                       plan cache, workspace pool, fused epilogues
 //
@@ -122,6 +124,29 @@ void gemm_panel_nn_fused(const float* a, const float* b, float* c, std::size_t l
 /// fuse (naive, sparse). Bit-identical to the fused path.
 void apply_epilogue_rows(float* c, std::size_t n, std::size_t i0, std::size_t i1,
                          const GemmEpilogue& ep) noexcept;
+
+// --- implicit-GEMM convolution ----------------------------------------------
+// A conv's two weight-side GEMMs with the patch matrix of im2col_strided
+// ([C·K·K × N·oh·ow], row p = (c, ky, kx), one column per output pixel) as
+// their B operand — read straight from the NCHW input, never materialized.
+// Forward panels of kNr pixels inside one stride-1 output row read the image
+// rows in place through a per-k offset table; every other panel (padding,
+// stride > 1, rows narrower than kNr) and every kNT k-block is packed from
+// the image into L1 scratch. Both run on the calling thread through the
+// register tiles above, so each output element keeps its op chain: the
+// results equal im2col_strided followed by gemm_panel_nn(_fused) or
+// gemm_panel_nt, bit for bit (tests/test_backend.cpp pins it).
+
+/// out[N, m, oh, ow] = W[m × C·K·K] · patches(images[n]) for every sample,
+/// then the epilogue (nullptr = none); row = output channel.
+void conv_forward(const float* w, std::size_t m, const float* images, std::size_t batch,
+                  const ConvGeometry& g, float* out, const GemmEpilogue* ep);
+
+/// dw[m × C·K·K] += Σ_n dy[n] · patches(images[n])ᵀ with dy [N, m, oh, ow]:
+/// each element sums the batch's pixels in ascending order from zero, then
+/// adds to dw once.
+void conv_weight_grad(const float* dy, std::size_t m, const float* images, std::size_t batch,
+                      const ConvGeometry& g, float* dw);
 
 // --- sparse kernels ----------------------------------------------------------
 

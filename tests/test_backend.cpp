@@ -348,6 +348,149 @@ TEST(BackendBitwise, TileHeightsAndKBlocksKeepEachElementsOpChain) {
   set_math_threads(0);
 }
 
+// --- implicit-GEMM convolution oracles ---------------------------------------
+//
+// Device::conv_forward and conv_weight_grad read the patch matrix straight
+// from the NCHW input. The oracle unrolls it with im2col_strided and runs the
+// blocked panels over it; the two must agree bit for bit — in-place and
+// packed panels, overlapping row panels, padding, stride, every tail tile
+// height, any batch and math_threads value.
+
+struct ConvOracleCase {
+  const char* name;
+  ConvGeometry g;
+  bool large_batch;  ///< also run at batch 64
+};
+
+const ConvOracleCase kConvOracleCases[] = {
+    {"lenet conv1", {3, 32, 32, 5, 1, 0}, true},      // 28-wide rows: in-place panels
+    {"lenet conv2", {6, 14, 14, 5, 1, 0}, true},      // out_w 10 < kNr: packed panels
+    {"3x3 pad 1", {2, 9, 40, 3, 1, 1}, false},        // in-place interior, padded edges
+    {"3x3 pad 1 stride 2", {3, 33, 33, 3, 2, 1}, false},
+};
+
+/// The unrolled reference: the batch's [patch × N·spatial] patch matrix.
+std::vector<float> unrolled_patches(const std::vector<float>& x, std::size_t batch,
+                                    const ConvGeometry& g) {
+  const std::size_t spatial = g.out_h() * g.out_w(), cols = batch * spatial;
+  const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+  std::vector<float> columns(g.patch_size() * cols);
+  for (std::size_t n = 0; n < batch; ++n) {
+    im2col_strided(x.data() + n * in_plane, g, columns.data(), cols, n * spatial);
+  }
+  return columns;
+}
+
+/// [m, N·spatial] → [N, m, spatial], adding `bias` the way the unfused conv
+/// layer always did: src + b, skipped where b is zero.
+std::vector<float> regrouped(const std::vector<float>& product, std::size_t m,
+                             std::size_t batch, std::size_t spatial, const float* bias) {
+  std::vector<float> out(product.size());
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t row = 0; row < m; ++row) {
+      const float b = bias != nullptr ? bias[row] : 0.0f;
+      for (std::size_t s = 0; s < spatial; ++s) {
+        const float v = product[row * batch * spatial + n * spatial + s];
+        out[(n * m + row) * spatial + s] = b == 0.0f ? v : v + b;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(BackendBitwise, ImplicitConvMatchesUnrolledPanels) {
+  Rng rng(81);
+  for (const ConvOracleCase& cc : kConvOracleCases) {
+    const ConvGeometry& g = cc.g;
+    const std::size_t k = g.patch_size(), spatial = g.out_h() * g.out_w();
+    const std::size_t in_plane = g.in_channels * g.in_h * g.in_w;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{10}, std::size_t{64}}) {
+      if (batch == 64 && !cc.large_batch) continue;
+      const std::size_t cols = batch * spatial;
+      const std::vector<float> x = random_matrix(rng, batch * in_plane);
+      const std::vector<float> columns = unrolled_patches(x, batch, g);
+      for (std::size_t m = 1; m <= 6; ++m) {
+        const std::vector<float> w = random_matrix(rng, m * k);
+        const std::vector<float> dy = random_matrix(rng, m * cols);
+        OracleEpilogue ep(rng, m);
+        ep.bias[m / 2] = 0.0f;  // a zero bias is skipped, not added
+        const GemmEpilogue fused_ep = ep.at(0);
+        GemmEpilogue bias_ep;
+        bias_ep.bias = ep.bias.data();
+
+        // References: the panels over the unrolled matrix.
+        std::vector<float> product(m * cols);
+        kern::gemm_panel_nn(w.data(), columns.data(), product.data(), k, k, cols, 0, m, false);
+        const std::vector<float> want_plain = regrouped(product, m, batch, spatial, nullptr);
+        const std::vector<float> want_bias =
+            regrouped(product, m, batch, spatial, ep.bias.data());
+        kern::gemm_panel_nn_fused(w.data(), columns.data(), product.data(), k, k, cols, 0, m,
+                                  false, fused_ep);
+        const std::vector<float> want_fused = regrouped(product, m, batch, spatial, nullptr);
+        std::vector<float> dy_rows(m * cols);  // dY regrouped to [m, N·spatial]
+        for (std::size_t n = 0; n < batch; ++n) {
+          for (std::size_t row = 0; row < m; ++row) {
+            std::copy_n(dy.data() + (n * m + row) * spatial, spatial,
+                        dy_rows.data() + row * cols + n * spatial);
+          }
+        }
+        std::vector<float> want_dw = initial_c(m * k, /*accumulate=*/true);
+        kern::gemm_panel_nt(dy_rows.data(), columns.data(), want_dw.data(), cols, k, 0, m,
+                            /*accumulate=*/true);
+
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+          set_math_threads(threads);
+          for (const char* name : {"blocked", "sparse"}) {
+            const Device& device = get_device(name);
+            const std::string label = std::string(cc.name) + " " + name + " batch " +
+                                      std::to_string(batch) + " m " + std::to_string(m) +
+                                      " threads " + std::to_string(threads);
+            std::vector<float> got(m * cols, -99.0f);
+            device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), nullptr, 0, 0);
+            ASSERT_TRUE(bitwise_equal(want_plain, got)) << "plain forward " << label;
+            device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), &bias_ep, 0, 0);
+            ASSERT_TRUE(bitwise_equal(want_bias, got)) << "bias forward " << label;
+            device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), &fused_ep, 0, 0);
+            ASSERT_TRUE(bitwise_equal(want_fused, got)) << "fused forward " << label;
+            std::vector<float> dw = initial_c(m * k, /*accumulate=*/true);
+            device.conv_weight_grad(dy.data(), m, x.data(), batch, g, dw.data());
+            ASSERT_TRUE(bitwise_equal(want_dw, dw)) << "weight gradient " << label;
+          }
+        }
+        set_math_threads(0);
+      }
+    }
+  }
+}
+
+// A 10%-dense filter bank sends the sparse device through CSR over the
+// unrolled patches; its forward still gives the blocked implicit bits.
+TEST(BackendBitwise, SparseCsrConvMatchesBlockedImplicit) {
+  Rng rng(82);
+  for (const ConvOracleCase& cc : kConvOracleCases) {
+    const ConvGeometry& g = cc.g;
+    const std::size_t batch = 10, k = g.patch_size();
+    const std::size_t out_size = batch * g.out_h() * g.out_w();
+    const std::vector<float> x = random_matrix(rng, batch * g.in_channels * g.in_h * g.in_w);
+    for (std::size_t m = 1; m <= 6; ++m) {
+      const std::vector<float> w = random_matrix(rng, m * k, 0.1);
+      const OracleEpilogue ep(rng, m);
+      const GemmEpilogue fused_ep = ep.at(0);
+      GemmEpilogue bias_ep;
+      bias_ep.bias = ep.bias.data();
+      const GemmEpilogue* epilogues[] = {nullptr, &bias_ep, &fused_ep};
+      for (const GemmEpilogue* epilogue : epilogues) {
+        std::vector<float> blocked(m * out_size), sparse(m * out_size);
+        get_device("blocked").conv_forward(w.data(), m, x.data(), batch, g, blocked.data(),
+                                           epilogue, 0, 0);
+        get_device("sparse").conv_forward(w.data(), m, x.data(), batch, g, sparse.data(),
+                                          epilogue, 0, 0);
+        ASSERT_TRUE(bitwise_equal(blocked, sparse)) << cc.name << " m " << m;
+      }
+    }
+  }
+}
+
 // --- layer-level equivalence ------------------------------------------------
 
 /// Forward + backward of one conv configuration on every device; outputs,

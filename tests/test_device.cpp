@@ -1,6 +1,7 @@
 // Device API: registry, sparse dispatch (only named weight operands run
 // sparse), execution-plan cache (incl. concurrency and mask-epoch
-// invalidation), workspace leases, fork safety, fused conv→bn→relu epilogues
+// invalidation), workspace leases (and a pool that does not grow with the
+// number of models), fork safety, fused conv→bn→relu epilogues
 // (bit-identical to the unfused chain), and the registered env-knob table
 // (asserted against the README in both directions).
 #include <gtest/gtest.h>
@@ -23,7 +24,9 @@
 #include "fl/experiment.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "nn/loss.h"
 #include "nn/model_zoo.h"
+#include "nn/sgd.h"
 #include "pruning/unstructured.h"
 #include "telemetry/telemetry.h"
 #include "tensor/device.h"
@@ -304,6 +307,41 @@ TEST(Workspace, LeasesRecycleThroughTheDevicePool) {
   moved.reset();
   moved.reset();
   EXPECT_FALSE(moved);
+}
+
+/// Conv layers lease scratch per call and hold none between calls, so the
+/// device pool a federation draws on does not grow with its client count:
+/// once one LeNet-5 has run an eval forward and a train step, seven more
+/// models — all kept alive, as a federation's clients are — run on the same
+/// pooled buffers. (A layer that kept its batch's patch matrix held 15 MB at
+/// the eval batch of 64.)
+TEST(Workspace, DevicePoolDoesNotGrowWithTheModelCount) {
+  Rng rng(15);
+  Tensor eval_batch({64, 3, 32, 32});
+  eval_batch.fill_normal(rng, 0.0f, 1.0f);
+  Tensor train_batch({10, 3, 32, 32});
+  train_batch.fill_normal(rng, 0.0f, 1.0f);
+  std::vector<std::int32_t> labels(10);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<std::int32_t>(i);
+  for (const char* backend : {"blocked", "sparse", "naive"}) {
+    ModelSpec spec = ModelSpec::lenet5(10);
+    spec.backend = backend;
+    const Device& dev = get_device(backend);
+    std::vector<Model> models;
+    std::uint64_t after_first = 0;
+    for (int i = 0; i < 8; ++i) {
+      models.push_back(spec.build_init(rng));
+      Model& model = models.back();
+      model.forward(eval_batch, /*train=*/false);
+      Sgd optimizer(model.parameters(), SgdConfig{});
+      const Tensor logits = model.forward(train_batch, /*train=*/true);
+      model.backward(softmax_cross_entropy(logits, labels).grad_logits);
+      optimizer.step();
+      if (i == 0) after_first = dev.stats().bytes_allocated;
+    }
+    EXPECT_EQ(dev.stats().bytes_allocated, after_first)
+        << backend << ": the device pool grew with the number of models";
+  }
 }
 
 // ---------------------------------------------------------------------------
