@@ -7,9 +7,14 @@
 // CI runs it as
 //   ./bench_micro --benchmark_filter='GemmBackend|GemmDevice|ConvForward' \
 //       --benchmark_out=BENCH_gemm.json --benchmark_out_format=json
-// and uploads BENCH_gemm.json, so regressions show up run over run.
+// and uploads BENCH_gemm.json, so regressions show up run over run. The
+// payload codec rows (BM_PayloadCodec, over BM_StateCopy) are gated the same
+// way from BENCH_codec.json:
+//   ./bench_micro --benchmark_filter='PayloadCodec|StateCopy' \
+//       --benchmark_out=BENCH_codec.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include "comm/channel.h"
 #include "core/aggregate.h"
 #include "nn/conv2d.h"
 #include "nn/loss.h"
@@ -362,6 +367,63 @@ BENCHMARK(BM_SubFedAvgAggregate)
     ->Args({5, 0})
     ->Args({10, 0})
     ->Args({10, 1});
+
+/// A LeNet-5 state (62,094 scalars) and a fixed random mask keeping 10% of
+/// every prunable weight: the shape of a wide_cohort Sub-FedAvg (Un) 0.9
+/// client's upload.
+struct CodecCase {
+  StateDict state;
+  ModelMask mask;
+};
+
+const CodecCase& codec_case() {
+  static const CodecCase fixed = [] {
+    Rng rng(1);
+    Model model = ModelSpec::lenet5(10).build_init(rng);
+    CodecCase out{model.state(), {}};
+    Rng pick(2);
+    for (const auto& [name, ones] : ModelMask::ones_like(model, MaskScope::kAllPrunable)) {
+      Tensor keep(ones.shape());
+      for (std::size_t i = 0; i < keep.numel(); ++i) keep[i] = pick.bernoulli(0.1) ? 1.0f : 0.0f;
+      out.mask.set(name, std::move(keep));
+    }
+    return out;
+  }();
+  return fixed;
+}
+
+/// One masked payload encode, or one decode that also recovers the mask (what
+/// the server does with every upload).
+void BM_PayloadCodec(benchmark::State& state, bool decode, QuantCodec codec) {
+  const CodecCase& fixed = codec_case();
+  const std::vector<std::uint8_t> bytes = encode_payload(fixed.state, &fixed.mask, codec);
+  for (auto _ : state) {
+    if (decode) {
+      ModelMask mask;
+      StateDict out = decode_payload(bytes, &mask);
+      benchmark::DoNotOptimize(&out);
+    } else {
+      std::vector<std::uint8_t> out = encode_payload(fixed.state, &fixed.mask, codec);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK_CAPTURE(BM_PayloadCodec, encode/none, false, QuantCodec::kNone);
+BENCHMARK_CAPTURE(BM_PayloadCodec, encode/int8, false, QuantCodec::kInt8);
+BENCHMARK_CAPTURE(BM_PayloadCodec, decode/none, true, QuantCodec::kNone);
+BENCHMARK_CAPTURE(BM_PayloadCodec, decode/int8, true, QuantCodec::kInt8);
+
+/// A copy of the same StateDict: the host-neutral denominator of the codec
+/// gates (one pass over every value, no codec work).
+void BM_StateCopy(benchmark::State& state) {
+  const CodecCase& fixed = codec_case();
+  for (auto _ : state) {
+    StateDict copy = fixed.state;
+    benchmark::DoNotOptimize(&copy);
+  }
+}
+BENCHMARK(BM_StateCopy);
 
 }  // namespace
 }  // namespace subfed

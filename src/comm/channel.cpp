@@ -1,14 +1,15 @@
 #include "comm/channel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
-#include "comm/quantize.h"
 #include "comm/serialize.h"
 #include "fl/robust.h"
 #include "telemetry/trace.h"
+#include "util/byte_reader.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -26,102 +27,6 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  put_u32(out, bits);
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated message");
-    return bytes_[pos_++];
-  }
-
-  std::uint16_t u16() {
-    SUBFEDAVG_CHECK(pos_ + 2 <= bytes_.size(), "truncated message");
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated message");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = u32();
-    v |= static_cast<std::uint64_t>(u32()) << 32;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
-  }
-
-  std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated message");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::span<const std::uint8_t> raw(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated message");
-    std::span<const std::uint8_t> s = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-/// Writes the kept values of one tensor at the codec's precision.
-void put_values(std::vector<std::uint8_t>& out, const Tensor& tensor, const Tensor* mask,
-                QuantCodec quantize) {
-  if (quantize == QuantCodec::kFp16) {
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (mask == nullptr || (*mask)[i] != 0.0f) {
-        const std::uint16_t half = fp32_to_fp16(tensor[i]);
-        out.push_back(static_cast<std::uint8_t>(half & 0xFF));
-        out.push_back(static_cast<std::uint8_t>(half >> 8));
-      }
-    }
-    return;
-  }
-  // kInt8: per-tensor affine over the transmitted values, scale first.
-  float peak = 0.0f;
-  for (std::size_t i = 0; i < tensor.numel(); ++i) {
-    if (mask == nullptr || (*mask)[i] != 0.0f) {
-      peak = std::max(peak, std::fabs(tensor[i]));
-    }
-  }
-  const float scale = peak > 0.0f ? peak / 127.0f : 1.0f;
-  put_f32(out, scale);
-  for (std::size_t i = 0; i < tensor.numel(); ++i) {
-    if (mask == nullptr || (*mask)[i] != 0.0f) {
-      const float q = std::round(tensor[i] / scale);
-      const auto clamped = static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
-      out.push_back(static_cast<std::uint8_t>(clamped));
-    }
-  }
 }
 
 }  // namespace
@@ -147,7 +52,10 @@ std::string quant_codec_name(QuantCodec codec) {
 // Envelopes
 
 std::vector<std::uint8_t> encode_envelope(const Envelope& envelope) {
+  std::size_t size = 28;  // fixed header
+  for (const std::vector<std::uint8_t>& section : envelope.sections) size += 4 + section.size();
   std::vector<std::uint8_t> out;
+  out.reserve(size);
   put_u32(out, kEnvelopeMagic);
   out.push_back(static_cast<std::uint8_t>(envelope.kind));
   out.push_back(static_cast<std::uint8_t>(envelope.quantize));
@@ -165,7 +73,7 @@ std::vector<std::uint8_t> encode_envelope(const Envelope& envelope) {
 }
 
 Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
+  ByteReader reader(bytes, "message");
   SUBFEDAVG_CHECK(reader.u32() == kEnvelopeMagic, "bad envelope magic");
   Envelope envelope;
   const std::uint8_t kind = reader.u8();
@@ -183,6 +91,10 @@ Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
   envelope.client = reader.u32();
   envelope.num_examples = reader.u64();
   const std::uint32_t sections = reader.u32();
+  // Each section needs at least its 4-byte length: bound the count first.
+  SUBFEDAVG_CHECK(sections <= reader.remaining() / 4,
+                  "envelope claims " << sections << " sections, more than the remaining "
+                                     << reader.remaining() << " bytes hold");
   envelope.sections.reserve(sections);
   for (std::uint32_t s = 0; s < sections; ++s) {
     const std::uint32_t size = reader.u32();
@@ -201,90 +113,21 @@ namespace {
 std::vector<std::uint8_t> encode_payload_impl(const StateDict& state, const ModelMask* mask,
                                               QuantCodec quantize) {
   if (quantize == QuantCodec::kNone) return encode_update(state, mask);
-
   std::vector<std::uint8_t> out;
   put_u32(out, kQuantMagic);
   out.push_back(static_cast<std::uint8_t>(quantize));
-  put_u32(out, static_cast<std::uint32_t>(state.size()));
-  for (const auto& [name, tensor] : state) {
-    put_u32(out, static_cast<std::uint32_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
-    put_u32(out, static_cast<std::uint32_t>(tensor.shape().rank()));
-    for (const std::size_t d : tensor.shape().dims()) {
-      put_u32(out, static_cast<std::uint32_t>(d));
-    }
-    const Tensor* m = mask != nullptr ? mask->find(name) : nullptr;
-    out.push_back(m != nullptr ? 1 : 0);
-    if (m != nullptr) {
-      SUBFEDAVG_CHECK(m->shape() == tensor.shape(), "mask shape for " << name);
-      std::uint8_t byte = 0;
-      int bit = 0;
-      for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        if ((*m)[i] != 0.0f) byte |= static_cast<std::uint8_t>(1 << bit);
-        if (++bit == 8) {
-          out.push_back(byte);
-          byte = 0;
-          bit = 0;
-        }
-      }
-      if (bit != 0) out.push_back(byte);
-    }
-    put_values(out, tensor, m, quantize);
-  }
+  encode_entries(out, state, mask, quantize);
   return out;
 }
 
 StateDict decode_payload_impl(std::span<const std::uint8_t> bytes, ModelMask* mask_out) {
-  SUBFEDAVG_CHECK(bytes.size() >= 4, "truncated payload");
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  if (magic != kQuantMagic) return decode_update(bytes, mask_out);
-
-  Reader reader(bytes);
-  reader.u32();  // magic
+  ByteReader reader(bytes, "payload");
+  if (reader.u32() != kQuantMagic) return decode_update(bytes, mask_out);
   const std::uint8_t quant_tag = reader.u8();
   SUBFEDAVG_CHECK(quant_tag == static_cast<std::uint8_t>(QuantCodec::kFp16) ||
                       quant_tag == static_cast<std::uint8_t>(QuantCodec::kInt8),
                   "bad payload quant tag " << int{quant_tag});
-  const QuantCodec quantize = static_cast<QuantCodec>(quant_tag);
-  const std::uint32_t entries = reader.u32();
-
-  StateDict state;
-  for (std::uint32_t e = 0; e < entries; ++e) {
-    const std::uint32_t name_len = reader.u32();
-    std::string name = reader.str(name_len);
-    const std::uint32_t rank = reader.u32();
-    std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    Tensor tensor{Shape(dims)};
-
-    const bool masked = reader.u8() != 0;
-    std::vector<bool> keep;
-    if (masked) {
-      keep.assign(tensor.numel(), false);
-      for (std::size_t i = 0; i < tensor.numel(); i += 8) {
-        const std::uint8_t byte = reader.u8();
-        for (int b = 0; b < 8 && i + b < tensor.numel(); ++b) {
-          keep[i + b] = (byte >> b) & 1;
-        }
-      }
-    }
-    const float scale = quantize == QuantCodec::kInt8 ? reader.f32() : 1.0f;
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (masked && !keep[i]) continue;
-      if (quantize == QuantCodec::kFp16) {
-        tensor[i] = fp16_to_fp32(reader.u16());
-      } else {
-        tensor[i] = static_cast<float>(static_cast<std::int8_t>(reader.u8())) * scale;
-      }
-    }
-    if (masked && mask_out != nullptr) {
-      Tensor bits{tensor.shape()};
-      for (std::size_t i = 0; i < bits.numel(); ++i) bits[i] = keep[i] ? 1.0f : 0.0f;
-      mask_out->set(name, std::move(bits));
-    }
-    state.add(std::move(name), std::move(tensor));
-  }
+  StateDict state = decode_entries(reader, static_cast<QuantCodec>(quant_tag), mask_out);
   SUBFEDAVG_CHECK(reader.done(), "trailing bytes in payload");
   return state;
 }
@@ -322,15 +165,45 @@ StateDict decode_payload(std::span<const std::uint8_t> bytes, ModelMask* mask_ou
 
 namespace {
 
+typedef float v4sf __attribute__((vector_size(16)));
+typedef std::int32_t v4si __attribute__((vector_size(16)));
+
+/// state += sign · reference on every entry `mask` does not cover, and on the
+/// kept positions of those it does. A pruned position keeps its exact bits
+/// (−0.0 and NaN included); a kept one gets the bits of t + sign·r.
 void combine_reference(StateDict& state, const ModelMask* mask, const StateDict& reference,
                        float sign) {
   for (auto& [name, tensor] : state) {
     const Tensor* ref = reference.find(name);
     if (ref == nullptr) continue;
-    SUBFEDAVG_CHECK(ref->numel() == tensor.numel(), "delta reference shape for " << name);
+    const std::size_t n = tensor.numel();
+    SUBFEDAVG_CHECK(ref->numel() == n, "delta reference shape for " << name);
+    float* t = tensor.data();
+    const float* r = ref->data();
     const Tensor* m = mask != nullptr ? mask->find(name) : nullptr;
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (m == nullptr || (*m)[i] != 0.0f) tensor[i] += sign * (*ref)[i];
+    if (m == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) t[i] += sign * r[i];
+      continue;
+    }
+    SUBFEDAVG_CHECK(m->numel() == n, "delta mask shape for " << name);
+    const float* k = m->data();
+    // A 4-wide bitwise select: compilers keep the masked add as a branch,
+    // which mispredicts on a random mask.
+    const v4sf s = {sign, sign, sign, sign};
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      v4sf tv, rv, kv;
+      std::memcpy(&tv, t + i, sizeof tv);
+      std::memcpy(&rv, r + i, sizeof rv);
+      std::memcpy(&kv, k + i, sizeof kv);
+      const v4si keep = kv != v4sf{};
+      const v4sf sum = tv + s * rv;
+      const v4si bits =
+          (std::bit_cast<v4si>(sum) & keep) | (std::bit_cast<v4si>(tv) & ~keep);
+      std::memcpy(t + i, &bits, sizeof bits);
+    }
+    for (; i < n; ++i) {
+      if (k[i] != 0.0f) t[i] += sign * r[i];
     }
   }
 }

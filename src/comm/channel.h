@@ -12,6 +12,12 @@
 //   quantize — fp16 / int8 kept-value precision (comm/quantize.h's scalar
 //              codecs, applied mask-aware)
 //
+// Both payload formats share comm/serialize.h's entry table, whose cost
+// scales with the kept values: one bitmap pass per covered tensor, then work
+// only at the kept positions. Decoders bound each header's claims against the
+// bytes left once per section, before allocating; the delta passes are
+// branch-free selects that leave pruned entries bit for bit.
+//
 // Transports (comm/transport.h) decide where the client half runs:
 //
 //   memory     — the legacy fast path: no bytes are materialized, the ledger
@@ -63,6 +69,7 @@
 
 #include "comm/ledger.h"
 #include "comm/round_time.h"
+#include "comm/serialize.h"
 #include "comm/transport.h"
 #include "core/aggregate.h"
 #include "nn/parameter.h"
@@ -72,8 +79,6 @@ namespace subfed {
 
 // ---------------------------------------------------------------------------
 // Codec configuration
-
-enum class QuantCodec : std::uint8_t { kNone = 0, kFp16 = 1, kInt8 = 2 };
 
 /// Parses "none" | "fp16" | "int8" (throws CheckError otherwise).
 QuantCodec parse_quant_codec(const std::string& name);

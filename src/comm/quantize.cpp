@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/byte_reader.h"
 #include "util/check.h"
 
 namespace subfed {
@@ -77,52 +78,6 @@ void put_f32(std::vector<std::uint8_t>& out, float value) {
   put_u32(out, bits);
 }
 
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated quantized update");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
-  }
-
-  std::uint16_t u16() {
-    SUBFEDAVG_CHECK(pos_ + 2 <= bytes_.size(), "truncated quantized update");
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        bytes_[pos_] | (static_cast<std::uint16_t>(bytes_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated quantized update");
-    return bytes_[pos_++];
-  }
-
-  std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated quantized update");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::vector<std::uint8_t> quantize_state(const StateDict& state, QuantKind kind) {
@@ -159,19 +114,25 @@ std::vector<std::uint8_t> quantize_state(const StateDict& state, QuantKind kind)
 }
 
 StateDict dequantize_state(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
+  ByteReader reader(bytes, "quantized update");
   SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad quantized-update magic");
   const QuantKind kind = reader.u8() == 0 ? QuantKind::kFp16 : QuantKind::kInt8;
   const std::uint32_t entries = reader.u32();
 
   StateDict state;
   for (std::uint32_t e = 0; e < entries; ++e) {
-    const std::uint32_t name_len = reader.u32();
-    std::string name = reader.str(name_len);
-    const std::uint32_t rank = reader.u32();
-    std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    Tensor tensor{Shape(dims)};
+    std::string name = reader.str(reader.u32());
+    std::size_t numel = 0;
+    std::vector<std::size_t> dims = read_dims(reader, name, numel);
+    // Every value is on the wire (2 bytes, or 1 after a 4-byte scale): bound
+    // the claim by the bytes left before allocating.
+    const std::size_t left = reader.remaining();
+    const bool fits =
+        kind == QuantKind::kFp16 ? numel <= left / 2 : left >= 4 && numel <= left - 4;
+    SUBFEDAVG_CHECK(fits, "quantized tensor '" << name << "' claims " << numel
+                                               << " values, more than the remaining " << left
+                                               << " bytes hold");
+    Tensor tensor{Shape(std::move(dims))};
 
     if (kind == QuantKind::kFp16) {
       for (std::size_t i = 0; i < tensor.numel(); ++i) {

@@ -95,9 +95,7 @@ std::size_t ModelMask::covered() const noexcept {
 
 std::size_t ModelMask::kept() const noexcept {
   std::size_t n = 0;
-  for (const auto& [name, t] : entries_) {
-    for (std::size_t i = 0; i < t.numel(); ++i) n += (t[i] != 0.0f);
-  }
+  for (const auto& [name, t] : entries_) n += t.numel() - t.count_zero();
   return n;
 }
 
@@ -114,7 +112,9 @@ double ModelMask::hamming_distance(const ModelMask& a, const ModelMask& b) {
     const auto& [bn, bt] = b.entries_[e];
     SUBFEDAVG_CHECK(an == bn && at.shape() == bt.shape(), "mask entry mismatch: " << an);
     total += at.numel();
-    for (std::size_t i = 0; i < at.numel(); ++i) differ += (at[i] != bt[i]);
+    const float* x = at.data();
+    const float* y = bt.data();
+    for (std::size_t i = 0; i < at.numel(); ++i) differ += (x[i] != y[i]);
   }
   return total == 0 ? 0.0 : static_cast<double>(differ) / static_cast<double>(total);
 }

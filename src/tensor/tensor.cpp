@@ -40,14 +40,10 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
                   "data size " << data_.size() << " != shape numel " << shape_.numel());
 }
 
-float& Tensor::operator[](std::size_t i) {
-  SUBFEDAVG_CHECK(i < data_.size(), "index " << i << " out of " << data_.size());
-  return data_[i];
-}
-
-float Tensor::operator[](std::size_t i) const {
-  SUBFEDAVG_CHECK(i < data_.size(), "index " << i << " out of " << data_.size());
-  return data_[i];
+void Tensor::index_out_of_range(std::size_t i) const {
+  std::ostringstream msg;
+  msg << "index " << i << " out of " << data_.size();
+  detail::check_failed("i < numel()", __FILE__, __LINE__, msg.str());
 }
 
 float& Tensor::at2(std::size_t i, std::size_t j) {

@@ -58,8 +58,15 @@ class Tensor {
   std::span<float> span() noexcept { return {data_.data(), data_.size()}; }
   std::span<const float> span() const noexcept { return {data_.data(), data_.size()}; }
 
-  float& operator[](std::size_t i);
-  float operator[](std::size_t i) const;
+  /// Checked element access; the failure path is out of line.
+  float& operator[](std::size_t i) {
+    if (i >= data_.size()) [[unlikely]] index_out_of_range(i);
+    return data_[i];
+  }
+  float operator[](std::size_t i) const {
+    if (i >= data_.size()) [[unlikely]] index_out_of_range(i);
+    return data_[i];
+  }
 
   /// 2-D indexed access (checked): tensor must have rank 2.
   float& at2(std::size_t i, std::size_t j);
@@ -104,6 +111,8 @@ class Tensor {
   bool operator==(const Tensor& other) const noexcept = default;
 
  private:
+  [[noreturn, gnu::cold]] void index_out_of_range(std::size_t i) const;
+
   Shape shape_;
   std::vector<float> data_;
 };
