@@ -1,7 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark): GEMM/conv throughput per
-// compute device (naive vs blocked vs sparse at several mask densities), mask
-// operations, and the two aggregation rules (the DESIGN.md §4.2
-// counting-vs-strict-intersection ablation at the per-op level).
+// compute device (naive vs blocked), mask operations, and the two aggregation
+// rules (the DESIGN.md §4.2 counting-vs-strict-intersection ablation at the
+// per-op level).
 //
 // The device GEMM matrix is the perf-trajectory record for the kernel layer;
 // CI runs it as
@@ -29,17 +29,7 @@
 namespace subfed {
 namespace {
 
-const char* const kBackendNames[] = {"naive", "blocked", "sparse"};
-
-/// A [n×n] matrix with `density_pct`% nonzeros — pruning masks make weights
-/// exact zeros, which is what the sparse device keys on.
-std::vector<float> masked_matrix(Rng& rng, std::size_t size, int density_pct) {
-  std::vector<float> out(size);
-  for (auto& x : out) {
-    x = rng.bernoulli(density_pct / 100.0) ? static_cast<float>(rng.normal()) : 0.0f;
-  }
-  return out;
-}
+const char* const kBackendNames[] = {"naive", "blocked"};
 
 void BM_Gemm(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -55,40 +45,23 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
 
-/// args: {size, device index, weight density %}. items/sec is dense-equiv
-/// FLOPs, so "sparse at 20%" reads directly against "blocked at 100%". The
-/// masked A is named as an anonymous weight (uid 0), so the sparse device
-/// scans its density on every call and packs CSR when it is sparse enough.
+/// args: {size, device index} — the naive→blocked headline (acceptance:
+/// blocked ≥ 3× at 128³).
 void BM_GemmBackend(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Device& device = get_device(kBackendNames[state.range(1)]);
-  const int density_pct = static_cast<int>(state.range(2));
   Rng rng(1);
-  std::vector<float> a = masked_matrix(rng, n * n, density_pct);
-  std::vector<float> b(n * n), c(n * n);
+  std::vector<float> a(n * n), b(n * n), c(n * n);
+  for (auto& x : a) x = static_cast<float>(rng.normal());
   for (auto& x : b) x = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false,
-                WeightSide::kA);
+    device.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetLabel(device.name() + "/d" + std::to_string(density_pct));
+  state.SetLabel(device.name());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmBackend)
-    // Dense: the naive→blocked headline (acceptance: blocked ≥ 3× at 128³).
-    ->Args({128, 0, 100})
-    ->Args({128, 1, 100})
-    ->Args({128, 2, 100})
-    ->Args({256, 0, 100})
-    ->Args({256, 1, 100})
-    // Masked weights: dense blocked vs sparse CSR across the pruning range.
-    ->Args({128, 1, 20})
-    ->Args({128, 2, 20})
-    ->Args({128, 2, 10})
-    ->Args({128, 2, 5})
-    ->Args({256, 1, 10})
-    ->Args({256, 2, 10});
+BENCHMARK(BM_GemmBackend)->Args({128, 0})->Args({128, 1})->Args({256, 0})->Args({256, 1});
 
 /// args: {size} — the blocked register-tiled panels called directly over the
 /// planned row chunks, with no Device in between: the baseline BM_GemmDevice
@@ -111,9 +84,8 @@ void BM_GemmBackendRawPanels(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBackendRawPanels)->Arg(128);
 
-/// args: {size} — GEMM routed through the blocked Device. After the first
-/// iteration every call is a plan-cache hit, so against
-/// BM_GemmBackendRawPanels this row prices the plan-cache lookup.
+/// args: {size} — GEMM routed through the blocked Device: against
+/// BM_GemmBackendRawPanels this row prices the Device dispatch.
 void BM_GemmDevice(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Device& dev = get_device("blocked");
@@ -170,39 +142,23 @@ void BM_LeNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LeNetForward);
 
-/// args: {device index, weight density %} — whole-model forward through each
-/// device's conv path (implicit GEMM on blocked, unrolled on naive and on
-/// sparse when it runs CSR).
+/// args: {device index} — whole-model forward through each device's conv
+/// path (implicit GEMM on blocked, unrolled on naive).
 void BM_ConvForwardBackend(benchmark::State& state) {
   Rng rng(2);
   ModelSpec spec = ModelSpec::lenet5(10);
   spec.backend = kBackendNames[state.range(0)];
   Model model = spec.build_init(rng);
-  const int density_pct = static_cast<int>(state.range(1));
-  if (density_pct < 100) {
-    Rng mask_rng(3);
-    for (Parameter* p : model.parameters()) {
-      if (!p->prunable) continue;
-      for (std::size_t i = 0; i < p->value.numel(); ++i) {
-        if (!mask_rng.bernoulli(density_pct / 100.0)) p->value[i] = 0.0f;
-      }
-    }
-  }
   Tensor batch({10, 3, 32, 32});
   batch.fill_normal(rng, 0.0f, 1.0f);
   for (auto _ : state) {
     Tensor out = model.forward(batch, /*train=*/false);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(std::string(spec.backend) + "/d" + std::to_string(density_pct));
+  state.SetLabel(spec.backend);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
-BENCHMARK(BM_ConvForwardBackend)
-    ->Args({0, 100})
-    ->Args({1, 100})
-    ->Args({2, 100})
-    ->Args({1, 15})
-    ->Args({2, 15});
+BENCHMARK(BM_ConvForwardBackend)->Arg(0)->Arg(1);
 
 /// args: {fused} — whole-model eval forward (blocked backend) with the
 /// conv→bn→relu epilogue fused into the GEMM store-back vs the layer-by-layer

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "comm/serialize.h"
+#include "util/byte_reader.h"
 #include "util/check.h"
 
 namespace subfed {
@@ -26,39 +27,6 @@ void put_blob(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& b
   put_u32(out, static_cast<std::uint32_t>(blob.size()));
   out.insert(out.end(), blob.begin(), blob.end());
 }
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated checkpoint");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated checkpoint");
-    return bytes_[pos_++];
-  }
-
-  std::vector<std::uint8_t> blob() {
-    const std::uint32_t n = u32();
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated checkpoint blob");
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
 
 /// ModelMask ↔ StateDict bridging so masks reuse the tensor wire format.
 StateDict mask_to_state(const ModelMask& mask) {
@@ -123,15 +91,19 @@ std::vector<std::uint8_t> encode_state_sections(std::string_view name,
 
 std::vector<StateDict> decode_state_sections(std::span<const std::uint8_t> bytes,
                                              std::string_view expect_name) {
-  Reader reader(bytes);
+  ByteReader reader(bytes, "checkpoint");
   SUBFEDAVG_CHECK(reader.u32() == kGenericMagic, "bad checkpoint magic");
   SUBFEDAVG_CHECK(reader.u32() == kGenericVersion, "unsupported checkpoint version");
-  const std::vector<std::uint8_t> name_bytes = reader.blob();
+  const std::span<const std::uint8_t> name_bytes = reader.blob();
   const std::string name(name_bytes.begin(), name_bytes.end());
   SUBFEDAVG_CHECK(name == expect_name, "checkpoint was written by '"
                                            << name << "', loading into '" << expect_name
                                            << "'");
+  // Each section costs at least its 4-byte blob length.
   const std::uint32_t count = reader.u32();
+  SUBFEDAVG_CHECK(count <= reader.remaining() / 4,
+                  "checkpoint claims " << count << " sections in " << reader.remaining()
+                                       << " bytes");
   std::vector<StateDict> sections;
   sections.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -198,7 +170,7 @@ void save_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path) {
 
 void load_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path) {
   const std::vector<std::uint8_t> bytes = read_file(path);
-  Reader reader(bytes);
+  ByteReader reader(bytes, "checkpoint");
   SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad checkpoint magic");
   SUBFEDAVG_CHECK(reader.u32() == kVersion, "unsupported checkpoint version");
 
@@ -215,14 +187,12 @@ void load_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path) {
     sections.push_back(decode_update(reader.blob()));  // weight mask
     // Channel mask: block count, then per block a size and one keep byte per
     // channel, as "block<b>" flag tensors.
-    const std::vector<std::uint8_t> cm_bytes = reader.blob();
-    Reader cm(cm_bytes);
+    ByteReader cm(reader.blob(), "checkpoint channel mask");
     StateDict channels;
     const std::uint32_t blocks = cm.u32();
     for (std::uint32_t b = 0; b < blocks; ++b) {
-      std::vector<float> keep;
-      const std::uint32_t block_size = cm.u32();
-      for (std::uint32_t c = 0; c < block_size; ++c) keep.push_back(cm.u8());
+      const std::span<const std::uint8_t> flags = cm.blob();
+      std::vector<float> keep(flags.begin(), flags.end());
       const Shape shape{keep.size()};
       channels.add("block" + std::to_string(b), Tensor(shape, std::move(keep)));
     }

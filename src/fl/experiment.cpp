@@ -56,7 +56,7 @@ const Field kFields[] = {
     SUBFED_UINT_FIELD(shard, "shard size; 0 = dataset's paper value"),
     SUBFED_UINT_FIELD(test_per_class, "test pool size per class"),
     SUBFED_STRING_FIELD(model, "auto | cnn5 | lenet5 | cnn_deep"),
-    SUBFED_STRING_FIELD(backend, "compute device: auto | naive | blocked | sparse"),
+    SUBFED_STRING_FIELD(backend, "compute device: auto | naive | blocked"),
     SUBFED_UINT_FIELD(math_threads, "GEMM row-panel cap; 0 = process setting"),
     SUBFED_STRING_FIELD(transport, "channel transport: memory | loopback | subprocess | tcp"),
     SUBFED_STRING_FIELD(codec, "uplink codec: sparse | delta"),

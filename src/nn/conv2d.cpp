@@ -44,7 +44,6 @@ void Conv2d::set_kept_channels(KeptChannels in, KeptChannels out) {
   in_keep_ = std::move(in);
   out_keep_ = std::move(out);
   cached_input_ = Tensor();
-  ++weight_.mask_epoch;
 }
 
 Tensor Conv2d::forward_impl(const Tensor& input, bool train, GemmEpilogue epilogue) {
@@ -75,11 +74,8 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, GemmEpilogue epilog
     }
     epilogue.bias = bias_view_.data();
   }
-  // A gathered filter block is passed under the parameter's own uid/epoch,
-  // so the sparse-vs-dense decision is still made once per pruning pass.
   dev.conv_forward(weight_matrix().gathered(weight_.value.data(), weight_view_, dev), co,
-                   input.data(), batch, g, output.data(), &epilogue, weight_.uid,
-                   weight_.mask_epoch);
+                   input.data(), batch, g, output.data(), &epilogue);
   return output;
 }
 
@@ -116,9 +112,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
   if (!input_grad()) return Tensor();  // first layer: nobody reads dX
 
-  // dCols[ckk, N·spatial] = Wᵀ[ckk, oc] · dY[oc, N·spatial] as one GEMM (one
-  // sparse-weight pack per call), dY regrouped to [oc, N·spatial] first;
-  // col2im then scatters each sample's columns into its dX.
+  // dCols[ckk, N·spatial] = Wᵀ[ckk, oc] · dY[oc, N·spatial] as one GEMM, dY
+  // regrouped to [oc, N·spatial] first; col2im then scatters each sample's
+  // columns into its dX.
   const std::size_t cols = batch * spatial;
   WorkspaceLease grad_rows = dev.lease(co * cols);
   for (std::size_t n = 0; n < batch; ++n) {
@@ -132,9 +128,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   WorkspaceLease grad_columns = dev.lease(g.patch_size() * cols);
   dev.gemm(GemmOp::kTN, view.gathered(weight_.value.data(), weight_view_, dev),
            grad_rows.data(), grad_columns.data(), g.patch_size(), co, cols,
-           /*accumulate=*/false, WeightSide::kA, weight_.uid, weight_.mask_epoch);
+           /*accumulate=*/false);
   for (std::size_t n = 0; n < batch; ++n) {
-    dev.col2im(grad_columns.data(), g, grad_input.data() + n * in_plane, cols, n * spatial);
+    col2im_strided(grad_columns.data(), g, grad_input.data() + n * in_plane, cols, n * spatial);
   }
   return grad_input;
 }

@@ -30,7 +30,6 @@ void Linear::set_kept_inputs(KeptChannels channels, std::size_t width) {
   in_keep_ = std::move(channels);
   in_width_ = width;
   cached_input_ = Tensor();
-  ++weight_.mask_epoch;
 }
 
 Tensor Linear::forward(const Tensor& input, bool train) {
@@ -48,8 +47,7 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   // y[N, out] = x[N, in] · Wᵀ
   device().gemm(GemmOp::kNT, input.data(),
                 view.gathered(weight_.value.data(), weight_view_, device()), output.data(),
-                batch, in, out_features_, /*accumulate=*/false, WeightSide::kB, weight_.uid,
-                weight_.mask_epoch);
+                batch, in, out_features_, /*accumulate=*/false);
   for (std::size_t n = 0; n < batch; ++n) {
     float* row = output.data() + n * out_features_;
     for (std::size_t o = 0; o < out_features_; ++o) row[o] += bias_.value[o];
@@ -84,8 +82,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   Tensor grad_input({batch, in});
   device().gemm(GemmOp::kNN, grad_output.data(),
                 view.gathered(weight_.value.data(), weight_view_, device()),
-                grad_input.data(), batch, out_features_, in, /*accumulate=*/false,
-                WeightSide::kB, weight_.uid, weight_.mask_epoch);
+                grad_input.data(), batch, out_features_, in, /*accumulate=*/false);
   return grad_input;
 }
 

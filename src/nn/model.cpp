@@ -106,9 +106,6 @@ void Model::load_state(const StateDict& state) {
     SUBFEDAVG_CHECK(tensor.shape() == entries[i]->value.shape(),
                     "state entry '" << name << "' shape mismatch");
     entries[i]->value = tensor;
-    // Loaded values may carry a different sparsity pattern (e.g. a pruned
-    // global model) — invalidate any cached density decisions.
-    ++entries[i]->mask_epoch;
   }
 }
 

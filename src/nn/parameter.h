@@ -5,8 +5,6 @@
 // matching the paper's reference implementation.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,48 +13,16 @@
 
 namespace subfed {
 
-/// Process-unique parameter id (never 0). Device plan caches key cached
-/// sparse-vs-dense decisions on (uid, mask_epoch) instead of data pointers,
-/// which a freed-and-reallocated tensor could alias.
-inline std::uint64_t next_parameter_uid() noexcept {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// A learnable tensor with its gradient buffer.
 struct Parameter {
   std::string name;   ///< unique within a model, e.g. "conv1.weight"
   Tensor value;
   Tensor grad;        ///< same shape as value; zeroed by the optimizer step
   bool prunable = false;  ///< participates in unstructured magnitude pruning
-  /// Identity for Device plan caches. `uid` is unique per live Parameter;
-  /// `mask_epoch` advances whenever the value's sparsity pattern may have
-  /// changed (pruning-mask application, state loads), invalidating cached
-  /// density decisions without any per-call rescanning.
-  std::uint64_t uid = next_parameter_uid();
-  std::uint64_t mask_epoch = 0;
 
   Parameter() = default;
   Parameter(std::string n, Tensor v, bool is_prunable)
       : name(std::move(n)), value(std::move(v)), grad(value.shape()), prunable(is_prunable) {}
-
-  /// Copies take a fresh uid (a distinct tensor, even if bitwise equal);
-  /// assignment keeps this parameter's identity but bumps the epoch, since
-  /// the incoming values may carry a different sparsity pattern.
-  Parameter(const Parameter& other)
-      : name(other.name), value(other.value), grad(other.grad), prunable(other.prunable) {}
-  Parameter& operator=(const Parameter& other) {
-    if (this != &other) {
-      name = other.name;
-      value = other.value;
-      grad = other.grad;
-      prunable = other.prunable;
-      ++mask_epoch;
-    }
-    return *this;
-  }
-  Parameter(Parameter&&) = default;
-  Parameter& operator=(Parameter&&) = default;
 };
 
 /// Ordered (name → tensor) snapshot of a model: learnable parameters plus

@@ -74,9 +74,6 @@ void ModelMask::apply_to_weights(Model& model) const {
     if (const Tensor* m = find(p->name)) {
       SUBFEDAVG_CHECK(m->shape() == p->value.shape(), "mask shape for " << p->name);
       p->value.mul_(*m);
-      // The sparsity pattern just changed: advance the epoch so Device plan
-      // caches drop their sparse-vs-dense decision for this parameter.
-      ++p->mask_epoch;
     }
   }
 }

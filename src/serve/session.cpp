@@ -11,6 +11,7 @@
 #include "fl/fedavg.h"
 #include "fl/subfedavg.h"
 #include "telemetry/trace.h"
+#include "util/byte_reader.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/parse.h"
@@ -38,43 +39,6 @@ void put_blob(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> blob
   put_u32(out, static_cast<std::uint32_t>(blob.size()));
   out.insert(out.end(), blob.begin(), blob.end());
 }
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated session checkpoint");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    SUBFEDAVG_CHECK(pos_ + 8 <= bytes_.size(), "truncated session checkpoint");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::span<const std::uint8_t> blob() {
-    const std::uint32_t n = u32();
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated session checkpoint blob");
-    std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -468,7 +432,7 @@ void FederationSession::restore(const std::string& path) {
                   "event-driven sessions (arrivals > 0 or arrival_trace) do not "
                   "checkpoint yet");
   const std::vector<std::uint8_t> bytes = read_file(path);
-  Reader reader(bytes);
+  ByteReader reader(bytes, "session checkpoint");
   SUBFEDAVG_CHECK(reader.u32() == kSessionMagic, "bad session checkpoint magic");
   SUBFEDAVG_CHECK(reader.u32() == kSessionVersion, "unsupported session checkpoint version");
   const std::span<const std::uint8_t> kv = reader.blob();
@@ -485,7 +449,11 @@ void FederationSession::restore(const std::string& path) {
   result_.simulated_seconds = reader.f64();
   base_up_bytes_ = reader.u64();
   base_down_bytes_ = reader.u64();
+  // Each curve point is a u64 round and an f64 accuracy.
   const std::uint32_t points = reader.u32();
+  SUBFEDAVG_CHECK(points <= reader.remaining() / 16,
+                  "session checkpoint claims " << points << " curve points in "
+                                               << reader.remaining() << " bytes");
   result_.curve.reserve(points);
   for (std::uint32_t i = 0; i < points; ++i) {
     RoundPoint point;

@@ -1,6 +1,5 @@
 #include "tensor/device.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -10,19 +9,18 @@
 #include <unordered_map>
 #include <utility>
 
-#include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/env.h"
 
 namespace subfed {
 namespace {
 
-enum class Kind : std::uint8_t { kNaive, kBlocked, kSparse };
+enum class Kind : std::uint8_t { kNaive, kBlocked };
 
 /// The single name→kind table that construction, validation and listing
 /// share (sorted by name).
-constexpr std::pair<const char*, Kind> kDeviceTable[] = {
-    {"blocked", Kind::kBlocked}, {"naive", Kind::kNaive}, {"sparse", Kind::kSparse}};
+constexpr std::pair<const char*, Kind> kDeviceTable[] = {{"blocked", Kind::kBlocked},
+                                                         {"naive", Kind::kNaive}};
 
 const Kind* find_kind(const std::string& name) noexcept {
   for (const auto& [known, kind] : kDeviceTable) {
@@ -30,45 +28,6 @@ const Kind* find_kind(const std::string& name) noexcept {
   }
   return nullptr;
 }
-
-struct PlanKey {
-  GemmOp op;
-  WeightSide side;
-  std::size_t m, k, n;
-
-  bool operator==(const PlanKey& o) const noexcept {
-    return op == o.op && side == o.side && m == o.m && k == o.k && n == o.n;
-  }
-};
-
-struct PlanKeyHash {
-  std::size_t operator()(const PlanKey& key) const noexcept {
-    std::size_t h = static_cast<std::size_t>(key.op) * 3u + static_cast<std::size_t>(key.side);
-    for (std::size_t v : {key.m, key.k, key.n}) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-/// Cached sparse-vs-dense choice for one weight tensor at one mask epoch.
-struct WeightDecision {
-  std::uint64_t uid = 0;
-  std::uint64_t epoch = 0;
-  bool use_sparse = false;
-};
-
-struct PlanEntry {
-  std::size_t chunks = 1;
-  /// math_threads()/pool size the chunk count was planned for; a runtime
-  /// change of the cap replans (counted as a miss) instead of going stale.
-  std::size_t threads_seen = ~std::size_t{0};
-  /// MRU list, newest first, capped — one shape is shared by at most a
-  /// handful of live weights (e.g. the conv layers of concurrent clients).
-  std::vector<WeightDecision> decisions;
-};
-
-constexpr std::size_t kMaxDecisionsPerShape = 8;
 
 constexpr std::size_t kMinLeaseFloats = 256;
 
@@ -83,15 +42,9 @@ std::size_t lease_class(std::size_t floats) noexcept {
 // -- Impl ---------------------------------------------------------------------
 
 struct Device::Impl {
-  mutable std::mutex plan_mu;
-  std::unordered_map<PlanKey, PlanEntry, PlanKeyHash> plans;
-
   mutable std::mutex pool_mu;
   std::unordered_map<std::size_t, std::vector<float*>> pool;  // size class → free buffers
 
-  std::atomic<std::uint64_t> plan_hits{0};
-  std::atomic<std::uint64_t> plan_misses{0};
-  std::atomic<std::uint64_t> density_scans{0};
   std::atomic<std::uint64_t> workspace_leases{0};
   std::atomic<std::uint64_t> workspace_reuses{0};
   std::atomic<std::uint64_t> bytes_allocated{0};
@@ -178,59 +131,68 @@ void Device::release(float* data, std::size_t floats) const noexcept {
 
 DeviceStats Device::stats() const noexcept {
   DeviceStats s;
-  s.plan_hits = impl_->plan_hits.load(std::memory_order_relaxed);
-  s.plan_misses = impl_->plan_misses.load(std::memory_order_relaxed);
-  s.density_scans = impl_->density_scans.load(std::memory_order_relaxed);
   s.workspace_leases = impl_->workspace_leases.load(std::memory_order_relaxed);
   s.workspace_reuses = impl_->workspace_reuses.load(std::memory_order_relaxed);
   s.bytes_allocated = impl_->bytes_allocated.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(impl_->plan_mu);
-    s.plan_entries = impl_->plans.size();
-  }
   return s;
 }
 
-void Device::col2im(const float* columns, const ConvGeometry& g, float* image,
-                    std::size_t col_stride, std::size_t col_offset) const {
-  col2im_strided(columns, g, image, col_stride, col_offset);
-}
-
-namespace {
-
-/// Row-major element count of the weight-side operand, and its pointer.
-std::pair<const float*, std::size_t> weight_operand(GemmOp op, WeightSide side,
-                                                    const float* a, const float* b,
-                                                    std::size_t m, std::size_t k,
-                                                    std::size_t n) noexcept {
-  if (side == WeightSide::kA) return {a, op == GemmOp::kTN ? k * m : m * k};
-  if (side == WeightSide::kB) return {b, op == GemmOp::kNT ? n * k : k * n};
-  return {nullptr, 0};
-}
-
-}  // namespace
-
 void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate, WeightSide weight_side,
-                  std::uint64_t weight_uid, std::uint64_t weight_epoch,
-                  const GemmEpilogue* epilogue) const {
+                  std::size_t k, std::size_t n, bool accumulate,
+                  const GemmEpilogue* ep) const {
   if (kern::handle_trivial(c, m, k, n, accumulate)) {
-    if (epilogue != nullptr && m > 0 && n > 0) kern::apply_epilogue_rows(c, n, 0, m, *epilogue);
+    if (ep != nullptr && m > 0 && n > 0) kern::apply_epilogue_rows(c, n, 0, m, *ep);
     return;
   }
-  const Plan p = plan(op, weight_side, a, b, m, k, n, weight_uid, weight_epoch);
-  execute(op, weight_side, a, b, c, m, k, n, accumulate, p.chunks, p.use_sparse, epilogue);
+  if (impl_->kind == Kind::kNaive) {
+    switch (op) {
+      case GemmOp::kNN:
+        accumulate ? gemm_accumulate(a, b, c, m, k, n) : subfed::gemm(a, b, c, m, k, n);
+        break;
+      case GemmOp::kTN:
+        accumulate ? gemm_at_b_accumulate(a, b, c, m, k, n) : gemm_at_b(a, b, c, m, k, n);
+        break;
+      case GemmOp::kNT:
+        accumulate ? gemm_a_bt_accumulate(a, b, c, m, k, n) : gemm_a_bt(a, b, c, m, k, n);
+        break;
+    }
+    if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
+    return;
+  }
+
+  const std::size_t chunks = kern::plan_chunks(m, 2 * m * k * n);
+  switch (op) {
+    case GemmOp::kNN:
+      if (ep != nullptr) {
+        kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
+          kern::gemm_panel_nn_fused(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate, *ep);
+        });
+        return;
+      }
+      kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
+        kern::gemm_panel_nn(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate);
+      });
+      return;
+    case GemmOp::kTN:
+      kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
+        kern::gemm_panel_tn(a, b, c, /*lda=*/m, k, n, i0, i1, accumulate);
+      });
+      break;
+    case GemmOp::kNT:
+      kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
+        kern::gemm_panel_nt(a, b, c, k, n, i0, i1, accumulate);
+      });
+      break;
+  }
+  if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
 }
 
 void Device::conv_forward(const float* weight, std::size_t m, const float* input,
                           std::size_t batch, const ConvGeometry& g, float* output,
-                          const GemmEpilogue* epilogue, std::uint64_t weight_uid,
-                          std::uint64_t weight_epoch) const {
+                          const GemmEpilogue* epilogue) const {
   const std::size_t k = g.patch_size(), spatial = g.out_h() * g.out_w(), cols = batch * spatial;
   if (m == 0 || cols == 0) return;
-  const Plan p = plan(GemmOp::kNN, WeightSide::kA, weight, nullptr, m, k, cols, weight_uid,
-                      weight_epoch);
-  if (impl_->kind != Kind::kNaive && !p.use_sparse) {
+  if (impl_->kind != Kind::kNaive) {
     kern::conv_forward(weight, m, input, batch, g, output, epilogue);
     return;
   }
@@ -242,8 +204,8 @@ void Device::conv_forward(const float* weight, std::size_t m, const float* input
   for (std::size_t n = 0; n < batch; ++n) {
     im2col_strided(input + n * in_plane, g, columns.data(), cols, n * spatial);
   }
-  execute(GemmOp::kNN, WeightSide::kA, weight, columns.data(), product.data(), m, k, cols,
-          /*accumulate=*/false, p.chunks, p.use_sparse, epilogue);
+  gemm(GemmOp::kNN, weight, columns.data(), product.data(), m, k, cols, /*accumulate=*/false,
+       epilogue);
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t row = 0; row < m; ++row) {
       std::memcpy(output + (n * m + row) * spatial, product.data() + row * cols + n * spatial,
@@ -274,162 +236,6 @@ void Device::conv_weight_grad(const float* grad_output, std::size_t m, const flo
   gemm_a_bt_accumulate(dy.data(), columns.data(), dw, m, cols, k);
 }
 
-Device::Plan Device::plan(GemmOp op, WeightSide weight_side, const float* a, const float* b,
-                          std::size_t m, std::size_t k, std::size_t n, std::uint64_t weight_uid,
-                          std::uint64_t weight_epoch) const {
-  static telemetry::Counter& plan_hit_c = telemetry::counter("device.plan_hit");
-  static telemetry::Counter& plan_miss_c = telemetry::counter("device.plan_miss");
-  static telemetry::Counter& density_scan_c = telemetry::counter("device.density_scan");
-
-  // Resolve the execution plan: chunk fan-out always; sparse-vs-dense only on
-  // the sparse device, and only for a named weight operand.
-  const auto [weight_ptr, weight_size] = weight_operand(op, weight_side, a, b, m, k, n);
-  const bool want_sparse_decision = impl_->kind == Kind::kSparse && weight_ptr != nullptr;
-
-  Plan resolved;
-  bool hit = true;
-  bool need_scan = false;
-  const PlanKey key{op, weight_side, m, k, n};
-  const std::size_t threads_now = math_threads();
-  const std::size_t flops = 2 * m * k * n;
-  {
-    std::lock_guard<std::mutex> lock(impl_->plan_mu);
-    PlanEntry& entry = impl_->plans[key];
-    if (entry.threads_seen != threads_now) {
-      entry.chunks = kern::plan_chunks(m, flops);
-      entry.threads_seen = threads_now;
-      hit = false;
-    }
-    resolved.chunks = entry.chunks;
-    if (want_sparse_decision) {
-      if (weight_uid == 0) {
-        need_scan = true;  // anonymous weight: scan on every call
-        hit = false;
-      } else {
-        auto it = std::find_if(entry.decisions.begin(), entry.decisions.end(),
-                               [&](const WeightDecision& d) { return d.uid == weight_uid; });
-        if (it != entry.decisions.end() && it->epoch == weight_epoch) {
-          resolved.use_sparse = it->use_sparse;
-          if (it != entry.decisions.begin()) std::rotate(entry.decisions.begin(), it, it + 1);
-        } else {
-          need_scan = true;
-          hit = false;
-        }
-      }
-    }
-  }
-  if (need_scan) {
-    // O(weight) scan outside the lock; concurrent first-callers may scan the
-    // same weight once each, then all insert the identical decision.
-    impl_->density_scans.fetch_add(1, std::memory_order_relaxed);
-    density_scan_c.add();
-    resolved.use_sparse = kern::density(weight_ptr, weight_size) <= sparse_density_threshold();
-    if (weight_uid != 0) {
-      std::lock_guard<std::mutex> lock(impl_->plan_mu);
-      PlanEntry& entry = impl_->plans[key];
-      auto it = std::find_if(entry.decisions.begin(), entry.decisions.end(),
-                             [&](const WeightDecision& d) { return d.uid == weight_uid; });
-      if (it != entry.decisions.end()) entry.decisions.erase(it);
-      entry.decisions.insert(entry.decisions.begin(),
-                             WeightDecision{weight_uid, weight_epoch, resolved.use_sparse});
-      if (entry.decisions.size() > kMaxDecisionsPerShape) entry.decisions.pop_back();
-    }
-  }
-  if (hit) {
-    impl_->plan_hits.fetch_add(1, std::memory_order_relaxed);
-    plan_hit_c.add();
-  } else {
-    impl_->plan_misses.fetch_add(1, std::memory_order_relaxed);
-    plan_miss_c.add();
-  }
-  return resolved;
-}
-
-void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
-                     std::size_t m, std::size_t k, std::size_t n, bool accumulate,
-                     std::size_t chunks, bool use_sparse, const GemmEpilogue* ep) const {
-  if (use_sparse) {
-    // Planned sparse execution: the decision is cached, so only pack + run
-    // here. "Weight on A, un/transposed" becomes per-output-row CSR + axpy;
-    // "weight on B" becomes per-output-column CSR + dot. Epilogues apply as a
-    // post-pass — same scalar expressions, same bits as the fused store-back.
-    kern::Csr csr;
-    bool axpy = false;
-    if (side == WeightSide::kA && op == GemmOp::kNN) {
-      csr = kern::Csr::pack(a, m, k);
-      axpy = true;
-    } else if (side == WeightSide::kA && op == GemmOp::kTN) {
-      csr = kern::Csr::pack_transposed(a, k, m);
-      axpy = true;
-    } else if (side == WeightSide::kB && op == GemmOp::kNN) {
-      csr = kern::Csr::pack_transposed(b, k, n);
-    } else if (side == WeightSide::kB && op == GemmOp::kNT) {
-      csr = kern::Csr::pack(b, n, k);
-    } else {
-      // Weight placements the CSR kernels have no fast path for (kTN weight
-      // on B, kNT weight on A) never arise from the layers; run dense.
-      use_sparse = false;
-    }
-    if (use_sparse) {
-      if (axpy) {
-        kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-          kern::sparse_axpy_panel(csr.row_begin.data(), csr.col.data(), csr.val.data(), b, c,
-                                  n, i0, i1, accumulate);
-        });
-      } else {
-        kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-          kern::sparse_dot_panel(csr.row_begin.data(), csr.col.data(), csr.val.data(), a, c,
-                                 k, n, i0, i1, accumulate);
-        });
-      }
-      if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
-      return;
-    }
-  }
-
-  // Dense execution with the cached fan-out (naive runs unchunked).
-  if (impl_->kind == Kind::kNaive) {
-    switch (op) {
-      case GemmOp::kNN:
-        accumulate ? gemm_accumulate(a, b, c, m, k, n) : subfed::gemm(a, b, c, m, k, n);
-        break;
-      case GemmOp::kTN:
-        accumulate ? gemm_at_b_accumulate(a, b, c, m, k, n) : gemm_at_b(a, b, c, m, k, n);
-        break;
-      case GemmOp::kNT:
-        accumulate ? gemm_a_bt_accumulate(a, b, c, m, k, n) : gemm_a_bt(a, b, c, m, k, n);
-        break;
-    }
-    if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
-    return;
-  }
-
-  switch (op) {
-    case GemmOp::kNN:
-      if (ep != nullptr) {
-        kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-          kern::gemm_panel_nn_fused(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate, *ep);
-        });
-        return;
-      }
-      kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-        kern::gemm_panel_nn(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate);
-      });
-      return;
-    case GemmOp::kTN:
-      kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-        kern::gemm_panel_tn(a, b, c, /*lda=*/m, k, n, i0, i1, accumulate);
-      });
-      break;
-    case GemmOp::kNT:
-      kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-        kern::gemm_panel_nt(a, b, c, k, n, i0, i1, accumulate);
-      });
-      break;
-  }
-  if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
-}
-
 // -- registry -----------------------------------------------------------------
 
 namespace {
@@ -452,7 +258,6 @@ std::map<std::string, Device*>& registry() {
 void Device::lock_for_fork() noexcept {
   registry_mutex().lock();
   for (auto& [key, device] : registry()) {
-    device->impl_->plan_mu.lock();
     device->impl_->pool_mu.lock();
   }
 }
@@ -460,7 +265,6 @@ void Device::lock_for_fork() noexcept {
 void Device::unlock_after_fork() noexcept {
   for (auto& [key, device] : registry()) {
     device->impl_->pool_mu.unlock();
-    device->impl_->plan_mu.unlock();
   }
   registry_mutex().unlock();
 }
@@ -472,7 +276,7 @@ const bool Device::fork_handlers_registered_ =
 
 const Device& get_device(const std::string& name) {
   SUBFEDAVG_CHECK(find_kind(name) != nullptr,
-                  "unknown device '" << name << "' (naive | blocked | sparse)");
+                  "unknown device '" << name << "' (blocked | naive)");
   std::lock_guard<std::mutex> lock(registry_mutex());
   Device*& slot = registry()[name];
   // Intentionally never destroyed: leases held by static-lifetime objects may

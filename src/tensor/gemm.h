@@ -1,6 +1,6 @@
 // Reference GEMM loops and im2col/col2im. The loops are the "naive" device's
 // kernels (tensor/device.h) and the oracle the equivalence suite compares the
-// blocked and sparse devices against.
+// blocked device against.
 //
 // All matrices are row-major. Sizes in this project are LeNet-scale
 // (K ≤ ~500), so a register-blocked ikj kernel is within ~2-3× of a tuned

@@ -29,11 +29,6 @@ std::size_t math_threads() noexcept {
   return g_math_threads.load(std::memory_order_relaxed);
 }
 
-double sparse_density_threshold() noexcept {
-  static const double threshold = env_double("SUBFEDAVG_SPARSE_DENSITY", 0.25);
-  return threshold;
-}
-
 namespace kern {
 
 bool handle_trivial(float* c, std::size_t m, std::size_t k, std::size_t n,
@@ -99,7 +94,7 @@ namespace {
 /// the AVX2 clones would otherwise change the epilogue's rounding relative to
 /// the unfused BatchNorm2d/ReLU passes (plain SSE2 code), breaking the
 /// fused ≡ unfused bit-identity contract. One pinned instance makes the
-/// fused store-back, the sparse/naive post-pass, and the unfused layer chain
+/// fused store-back, the naive post-pass, and the unfused layer chain
 /// all round identically.
 ///
 /// Applies the epilogue to `count` elements of output row `row`:
@@ -814,168 +809,6 @@ void conv_weight_grad(const float* dy, std::size_t m, const float* images, std::
   }
 #endif
   conv_weight_grad_body(dy, m, images, batch, g, dw, pack_nt_block_scalar<RowList>);
-}
-
-// --- sparse kernels ----------------------------------------------------------
-// Pruning masks zero weights exactly; when the weight-side operand's density
-// drops below the threshold it is packed into CSR (ascending k within each
-// row, matching the dense accumulation order) and the kernel only touches
-// nonzeros.
-
-double density(const float* data, std::size_t size) noexcept {
-  if (size == 0) return 1.0;
-  std::size_t nonzero = 0;
-  for (std::size_t i = 0; i < size; ++i) nonzero += data[i] != 0.0f ? 1 : 0;
-  return static_cast<double>(nonzero) / static_cast<double>(size);
-}
-
-Csr Csr::pack(const float* data, std::size_t rows, std::size_t cols) {
-  Csr csr;
-  csr.row_begin.resize(rows + 1, 0);
-  std::size_t nnz = 0;
-  for (std::size_t i = 0; i < rows * cols; ++i) nnz += data[i] != 0.0f ? 1 : 0;
-  csr.col.reserve(nnz);
-  csr.val.reserve(nnz);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = data + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (row[c] != 0.0f) {
-        csr.col.push_back(static_cast<std::uint32_t>(c));
-        csr.val.push_back(row[c]);
-      }
-    }
-    csr.row_begin[r + 1] = static_cast<std::uint32_t>(csr.col.size());
-  }
-  return csr;
-}
-
-Csr Csr::pack_transposed(const float* data, std::size_t rows, std::size_t cols) {
-  Csr csr;
-  csr.row_begin.assign(cols + 1, 0);
-  for (std::size_t i = 0; i < rows * cols; ++i) {
-    if (data[i] != 0.0f) ++csr.row_begin[i % cols + 1];
-  }
-  for (std::size_t c = 0; c < cols; ++c) csr.row_begin[c + 1] += csr.row_begin[c];
-  csr.col.resize(csr.row_begin[cols]);
-  csr.val.resize(csr.row_begin[cols]);
-  std::vector<std::uint32_t> cursor(csr.row_begin.begin(), csr.row_begin.end() - 1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = data + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (row[c] != 0.0f) {
-        const std::uint32_t slot = cursor[c]++;
-        csr.col[slot] = static_cast<std::uint32_t>(r);
-        csr.val[slot] = row[c];
-      }
-    }
-  }
-  return csr;
-}
-
-namespace {
-
-/// Whether the compiler contracts the dense tiles' `acc += a·b` into a fused
-/// multiply-add where the ISA has one: Clang always does (-ffp-contract=on),
-/// GCC only in optimized builds (contraction is one of its passes).
-#if defined(__clang__) || defined(__OPTIMIZE__)
-constexpr bool kTilesContract = true;
-#else
-constexpr bool kTilesContract = false;
-#endif
-
-/// One multiply-add term of the sparse kernels, rounded the way the dense
-/// register tiles round theirs: fused in the AVX2+FMA build when the tiles
-/// are contracted, multiply-then-add otherwise. Spelled out because GCC's
-/// vectorizer would otherwise split the CSR dot product into a vector
-/// multiply and an in-order scalar add. With every term rounded alike, and a
-/// dropped zero term never changing a sum, CSR and dense dispatch of the
-/// same GEMM produce identical bits.
-template <bool kFma>
-SUBFED_ALWAYS_INLINE float madd(float a, float b, float acc) noexcept {
-  if constexpr (kFma && kTilesContract) {
-    return __builtin_fmaf(a, b, acc);
-  } else {
-    return acc + a * b;
-  }
-}
-
-template <bool kFma>
-SUBFED_ALWAYS_INLINE void sparse_axpy_body(const std::uint32_t* row_begin,
-                                           const std::uint32_t* col, const float* val,
-                                           const float* b, float* c, std::size_t n,
-                                           std::size_t i0, std::size_t i1,
-                                           bool accumulate) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    if (!accumulate) std::memset(crow, 0, n * sizeof(float));
-    for (std::uint32_t e = row_begin[i]; e < row_begin[i + 1]; ++e) {
-      const float av = val[e];
-      const float* brow = b + col[e] * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] = madd<kFma>(av, brow[j], crow[j]);
-    }
-  }
-}
-
-template <bool kFma>
-SUBFED_ALWAYS_INLINE void sparse_dot_body(const std::uint32_t* row_begin,
-                                          const std::uint32_t* col, const float* val,
-                                          const float* a, float* c, std::size_t k,
-                                          std::size_t n, std::size_t i0, std::size_t i1,
-                                          bool accumulate) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::uint32_t e = row_begin[j]; e < row_begin[j + 1]; ++e) {
-        acc = madd<kFma>(arow[col[e]], val[e], acc);
-      }
-      crow[j] = accumulate ? crow[j] + acc : acc;
-    }
-  }
-}
-
-#if SUBFED_X86_DISPATCH
-SUBFED_AVX2_TARGET void sparse_axpy_panel_avx2(const std::uint32_t* row_begin,
-                                               const std::uint32_t* col, const float* val,
-                                               const float* b, float* c, std::size_t n,
-                                               std::size_t i0, std::size_t i1,
-                                               bool accumulate) {
-  sparse_axpy_body<true>(row_begin, col, val, b, c, n, i0, i1, accumulate);
-}
-SUBFED_AVX2_TARGET void sparse_dot_panel_avx2(const std::uint32_t* row_begin,
-                                              const std::uint32_t* col, const float* val,
-                                              const float* a, float* c, std::size_t k,
-                                              std::size_t n, std::size_t i0,
-                                              std::size_t i1, bool accumulate) {
-  sparse_dot_body<true>(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
-}
-#endif
-
-}  // namespace
-
-void sparse_axpy_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
-                       const float* val, const float* b, float* c, std::size_t n,
-                       std::size_t i0, std::size_t i1, bool accumulate) {
-#if SUBFED_X86_DISPATCH
-  if (cpu_has_avx2_fma()) {
-    sparse_axpy_panel_avx2(row_begin, col, val, b, c, n, i0, i1, accumulate);
-    return;
-  }
-#endif
-  sparse_axpy_body<false>(row_begin, col, val, b, c, n, i0, i1, accumulate);
-}
-
-void sparse_dot_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
-                      const float* val, const float* a, float* c, std::size_t k,
-                      std::size_t n, std::size_t i0, std::size_t i1, bool accumulate) {
-#if SUBFED_X86_DISPATCH
-  if (cpu_has_avx2_fma()) {
-    sparse_dot_panel_avx2(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
-    return;
-  }
-#endif
-  sparse_dot_body<false>(row_begin, col, val, a, c, k, n, i0, i1, accumulate);
 }
 
 }  // namespace kern

@@ -2,22 +2,21 @@
 //
 // The compute stack has two layers:
 //
-//   tensor/kernels.h  — raw panel/sparse kernels, the implicit-GEMM conv
+//   tensor/kernels.h  — raw register-tiled panels, the implicit-GEMM conv
 //                       kernels + the row-chunk runner (this header; no
 //                       state beyond the math-thread cap and per-thread L1
 //                       packing scratch), beside the reference loops in
 //                       tensor/gemm.h
 //   tensor/device.h   — storage-owning devices: dispatch over the kernels,
-//                       plan cache, workspace pool, fused epilogues
+//                       workspace pool, fused epilogues
 //
 // Determinism contract (inherited by every caller): each output element is
 // accumulated in ascending-k order regardless of how row panels are chunked,
 // so results are bit-identical for any math_threads value.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "tensor/gemm.h"
 #include "util/thread_pool.h"
@@ -26,7 +25,7 @@ namespace subfed {
 
 /// Fused post-GEMM epilogue, applied to each output element C[row, j] in the
 /// register tile right before store-back (blocked kernels) or as a row-wise
-/// post-pass (naive/sparse kernels — same scalar expressions, same bits):
+/// post-pass (naive kernels — same scalar expressions, same bits):
 ///
 ///   y = C[row, j]
 ///   if bias   && bias[row] != 0:  y += bias[row]
@@ -65,9 +64,9 @@ bool handle_trivial(float* c, std::size_t m, std::size_t k, std::size_t n,
                     bool accumulate) noexcept;
 
 /// Row panels a GEMM of `flops` total work over `m` rows may fan out to,
-/// given the current math-thread cap and pool size. Pure with respect to the
-/// call site (no calling-thread inspection), so Device plans may cache it;
-/// run_row_chunks re-checks the in-pool condition at execution time.
+/// given the current math-thread cap and pool size. It does not inspect the
+/// calling thread; run_row_chunks checks the in-pool condition at execution
+/// time.
 std::size_t plan_chunks(std::size_t m, std::size_t flops) noexcept;
 
 /// Runs fn(i_begin, i_end) over [0, m) split into `chunks` kMr-aligned
@@ -121,7 +120,7 @@ void gemm_panel_nn_fused(const float* a, const float* b, float* c, std::size_t l
 
 /// Elementwise epilogue post-pass over rows [i0, i1) of C [m×n] — the same
 /// per-element expressions as the fused store-back, for kernels that cannot
-/// fuse (naive, sparse). Bit-identical to the fused path.
+/// fuse (naive). Bit-identical to the fused path.
 void apply_epilogue_rows(float* c, std::size_t n, std::size_t i0, std::size_t i1,
                          const GemmEpilogue& ep) noexcept;
 
@@ -147,34 +146,6 @@ void conv_forward(const float* w, std::size_t m, const float* images, std::size_
 /// adds to dw once.
 void conv_weight_grad(const float* dy, std::size_t m, const float* images, std::size_t batch,
                       const ConvGeometry& g, float* dw);
-
-// --- sparse kernels ----------------------------------------------------------
-
-/// Fraction of nonzero entries in `data` (1.0 for empty inputs).
-double density(const float* data, std::size_t size) noexcept;
-
-/// CSR of a row-major [rows×cols] matrix; entries keep ascending column order.
-struct Csr {
-  std::vector<std::uint32_t> row_begin;  // rows+1 offsets
-  std::vector<std::uint32_t> col;
-  std::vector<float> val;
-
-  static Csr pack(const float* data, std::size_t rows, std::size_t cols);
-  /// CSR of the TRANSPOSE of a row-major [rows×cols] matrix (i.e. CSC):
-  /// entry lists per column, ascending row order.
-  static Csr pack_transposed(const float* data, std::size_t rows, std::size_t cols);
-};
-
-/// c[i,:] (+)= Σ_nonzeros(i) val · b[col,:] for rows [i0, i1) — the shared
-/// nn/tn inner loop once the sparse operand is in "per output row" CSR form.
-void sparse_axpy_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
-                       const float* val, const float* b, float* c, std::size_t n,
-                       std::size_t i0, std::size_t i1, bool accumulate);
-
-/// c[i,j] (+)= sparse dot of dense A row i with CSR row j of B (stored [n×k]).
-void sparse_dot_panel(const std::uint32_t* row_begin, const std::uint32_t* col,
-                      const float* val, const float* a, float* c, std::size_t k,
-                      std::size_t n, std::size_t i0, std::size_t i1, bool accumulate);
 
 }  // namespace kern
 }  // namespace subfed

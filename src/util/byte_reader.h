@@ -1,5 +1,6 @@
 // Bounded little-endian cursor over a byte span, shared by the wire codecs
-// (SFAV updates, SFQP payloads, SFEV envelopes, SFQT quantized states).
+// (SFAV updates, SFQP payloads, SFEV envelopes, SFQT quantized states) and
+// the checkpoint formats (SFCG/SFCP algorithm state, SFSN sessions).
 //
 // Every read checks the bytes left first and throws CheckError naming the
 // caller's context ("truncated update", "truncated message", …) on underrun,
@@ -50,6 +51,13 @@ class ByteReader {
     return v;
   }
 
+  double f64() {
+    const std::uint64_t bits = u64();
+    double v;
+    std::memcpy(&v, &bits, 8);
+    return v;
+  }
+
   std::string str(std::size_t n) {
     const std::span<const std::uint8_t> b = raw(n);
     return std::string(reinterpret_cast<const char*>(b.data()), n);
@@ -63,6 +71,9 @@ class ByteReader {
     pos_ += n;
     return s;
   }
+
+  /// A u32 length, then that many bytes in place.
+  std::span<const std::uint8_t> blob() { return raw(u32()); }
 
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }

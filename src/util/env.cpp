@@ -20,11 +20,9 @@ const std::vector<EnvKnob>& knob_table() {
        "process telemetry level: `off` | `counters` | `trace` (spec field `telemetry=` "
        "overrides)"},
       {"SUBFEDAVG_BACKEND", "string", "`blocked`",
-       "process-default compute device: `naive` | `blocked` | `sparse`"},
+       "process-default compute device: `naive` | `blocked`"},
       {"SUBFEDAVG_MATH_THREADS", "int", "hardware",
        "row-panel thread cap for the blocked kernels (bit-identical at any value)"},
-      {"SUBFEDAVG_SPARSE_DENSITY", "double", "`0.25`",
-       "density below which the sparse device packs CSR"},
       {"SUBFEDAVG_THREADS", "int", "hardware", "global thread-pool size"},
       {"SUBFEDAVG_BENCH_CLIENTS", "int", "`20`", "bench population (paper: 100)"},
       {"SUBFEDAVG_BENCH_SHARD", "int", "`50`", "bench shard size (paper: 250/125)"},

@@ -1,10 +1,10 @@
-// Cross-device equivalence and determinism of the three kernel sets.
+// Cross-device equivalence and determinism of the two kernel sets.
 //
-// The naive device (the seed's reference kernels) is the oracle: blocked and
-// sparse must match it on every GEMM variant over odd/rectangular shapes,
-// zero-dimension edges, and pruning-masked (mostly-zero) operands. Devices
-// may differ from the oracle by floating-point contraction only, so
-// comparisons use a tight relative tolerance; a FIXED device across
+// The naive device (the seed's reference kernels) is the oracle: blocked
+// must match it on every GEMM variant over odd/rectangular shapes,
+// zero-dimension edges, and pruning-masked (mostly-zero) operands. The
+// devices may differ by floating-point contraction only, so comparisons
+// use a tight relative tolerance; a FIXED device across
 // different math_threads values must be bit-identical — threading never
 // reorders any output element's accumulation.
 #include <gtest/gtest.h>
@@ -63,9 +63,6 @@ const GemmCase kShapes[] = {{1, 1, 1},   {3, 5, 7},    {4, 16, 16},  {5, 17, 33}
 
 const GemmOp kOps[] = {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT};
 
-/// The operand that carries the pruning mask: A for nn/tn, B for nt.
-WeightSide masked_side(int variant) { return variant == 2 ? WeightSide::kB : WeightSide::kA; }
-
 /// C before a GEMM: accumulate targets start from a fixed nonzero pattern so
 /// C += is exercised.
 std::vector<float> initial_c(std::size_t size, bool accumulate) {
@@ -77,20 +74,19 @@ std::vector<float> initial_c(std::size_t size, bool accumulate) {
 }
 
 /// Runs one variant on one device. A/B are sized/laid out per variant:
-/// nn: A[m×k], B[k×n] · tn: A[k×m], B[k×n] · nt: A[m×k], B[n×k]. The masked
-/// operand is named as the weight side with uid 0, so the sparse device
-/// scans it on every call and runs its CSR kernels when it is sparse enough.
+/// nn: A[m×k], B[k×n] · tn: A[k×m], B[k×n] · nt: A[m×k], B[n×k].
 std::vector<float> run_variant(const Device& device, int variant,
                                const std::vector<float>& a, const std::vector<float>& b,
-                               const GemmCase& shape, bool accumulate, WeightSide masked) {
+                               const GemmCase& shape, bool accumulate) {
   std::vector<float> c = initial_c(shape.m * shape.n, accumulate);
   device.gemm(kOps[variant], a.data(), b.data(), c.data(), shape.m, shape.k, shape.n,
-              accumulate, masked);
+              accumulate);
   return c;
 }
 
 void compare_backends_over(double density) {
   const Device& naive = get_device("naive");
+  const Device& blocked = get_device("blocked");
   Rng rng(density < 1.0 ? 7 : 3);
   for (const GemmCase& shape : kShapes) {
     for (int variant = 0; variant < 3; ++variant) {
@@ -100,18 +96,11 @@ void compare_backends_over(double density) {
       std::vector<float> a = random_matrix(rng, a_size, variant == 2 ? 1.0 : density);
       std::vector<float> b = random_matrix(rng, b_size, variant == 2 ? density : 1.0);
       for (const bool accumulate : {false, true}) {
-        const WeightSide masked = masked_side(variant);
-        const std::vector<float> want =
-            run_variant(naive, variant, a, b, shape, accumulate, masked);
-        for (const char* name : {"blocked", "sparse"}) {
-          const std::vector<float> got =
-              run_variant(get_device(name), variant, a, b, shape, accumulate, masked);
-          expect_close(want, got,
-                       std::string(name) + " variant " + std::to_string(variant) + " " +
-                           std::to_string(shape.m) + "x" + std::to_string(shape.k) + "x" +
-                           std::to_string(shape.n) + (accumulate ? " acc" : "") +
-                           " density " + std::to_string(density));
-        }
+        expect_close(run_variant(naive, variant, a, b, shape, accumulate),
+                     run_variant(blocked, variant, a, b, shape, accumulate),
+                     "variant " + std::to_string(variant) + " " + std::to_string(shape.m) +
+                         "x" + std::to_string(shape.k) + "x" + std::to_string(shape.n) +
+                         (accumulate ? " acc" : "") + " density " + std::to_string(density));
       }
     }
   }
@@ -119,34 +108,28 @@ void compare_backends_over(double density) {
 
 TEST(BackendEquivalence, DenseOddAndRectangularShapes) { compare_backends_over(1.0); }
 
-// 10% density forces the sparse device through its CSR kernels (threshold
-// 0.25); 30% exercises its dense fallback path.
-TEST(BackendEquivalence, MaskedWeightsSparseAndFallback) {
+TEST(BackendEquivalence, MaskedWeights) {
   compare_backends_over(0.10);
   compare_backends_over(0.30);
 }
 
-TEST(BackendEquivalence, SparseWeightOnBSideOfNN) {
+TEST(BackendEquivalence, MaskedWeightOnBSideOfNN) {
   // Linear::backward's dX = dY·W puts the pruned matrix on the B side of an
-  // nn GEMM; the sparse device must catch that case too.
+  // nn GEMM.
   const Device& naive = get_device("naive");
   Rng rng(13);
   const GemmCase shape{10, 120, 400};
   const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 1.0);
   const std::vector<float> b = random_matrix(rng, shape.k * shape.n, 0.1);
   for (const bool accumulate : {false, true}) {
-    const std::vector<float> want =
-        run_variant(naive, 0, a, b, shape, accumulate, WeightSide::kB);
-    for (const char* name : {"blocked", "sparse"}) {
-      expect_close(want,
-                   run_variant(get_device(name), 0, a, b, shape, accumulate, WeightSide::kB),
-                   std::string(name) + " nn sparse-B" + (accumulate ? " acc" : ""));
-    }
+    expect_close(run_variant(naive, 0, a, b, shape, accumulate),
+                 run_variant(get_device("blocked"), 0, a, b, shape, accumulate),
+                 std::string("nn masked-B") + (accumulate ? " acc" : ""));
   }
 }
 
 TEST(BackendEquivalence, ZeroDimensionEdges) {
-  for (const char* name : {"naive", "blocked", "sparse"}) {
+  for (const char* name : {"naive", "blocked"}) {
     const Device& device = get_device(name);
     std::vector<float> a(8, 1.0f), b(8, 1.0f);
     // k == 0: C is zeroed without accumulate, untouched with.
@@ -165,12 +148,11 @@ TEST(BackendEquivalence, ZeroDimensionEdges) {
 TEST(BackendRegistry, NamesResolveAndUnknownThrows) {
   EXPECT_EQ(get_device("naive").name(), "naive");
   EXPECT_EQ(get_device("blocked").name(), "blocked");
-  EXPECT_EQ(get_device("sparse").name(), "sparse");
   EXPECT_TRUE(has_device("blocked"));
   EXPECT_FALSE(has_device("cublas"));
   EXPECT_THROW(get_device("cublas"), CheckError);
   const std::vector<std::string> names = list_devices();
-  EXPECT_EQ(names.size(), 3u);
+  EXPECT_EQ(names.size(), 2u);
   // The process default must be a registered device (SUBFEDAVG_BACKEND may
   // legitimately select any of them).
   EXPECT_TRUE(has_device(default_device().name()));
@@ -182,22 +164,18 @@ TEST(BackendDeterminism, MathThreadsNeverChangeGemmBits) {
   // Big enough to clear the parallel-dispatch threshold (2·m·k·n ≥ 2^21).
   const GemmCase shape{256, 96, 64};
   Rng rng(11);
-  for (const char* name : {"blocked", "sparse"}) {
-    const Device& device = get_device(name);
-    for (int variant = 0; variant < 3; ++variant) {
-      const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 0.5);
-      const std::vector<float> b =
-          random_matrix(rng, variant == 2 ? shape.n * shape.k : shape.k * shape.n, 0.5);
-      const WeightSide masked = masked_side(variant);
-      set_math_threads(1);
-      const std::vector<float> single = run_variant(device, variant, a, b, shape, false, masked);
-      set_math_threads(4);
-      const std::vector<float> pooled = run_variant(device, variant, a, b, shape, false, masked);
-      set_math_threads(0);
-      for (std::size_t i = 0; i < single.size(); ++i) {
-        ASSERT_EQ(single[i], pooled[i])
-            << name << " variant " << variant << " diverges at " << i;
-      }
+  const Device& device = get_device("blocked");
+  for (int variant = 0; variant < 3; ++variant) {
+    const std::vector<float> a = random_matrix(rng, shape.m * shape.k, 0.5);
+    const std::vector<float> b =
+        random_matrix(rng, variant == 2 ? shape.n * shape.k : shape.k * shape.n, 0.5);
+    set_math_threads(1);
+    const std::vector<float> single = run_variant(device, variant, a, b, shape, false);
+    set_math_threads(4);
+    const std::vector<float> pooled = run_variant(device, variant, a, b, shape, false);
+    set_math_threads(0);
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(single[i], pooled[i]) << "variant " << variant << " diverges at " << i;
     }
   }
 }
@@ -236,9 +214,8 @@ TEST(BackendDeterminism, MathThreadsNeverChangeTrainingBits) {
 //
 // The blocked kernels give every output element one op chain: accumulate from
 // zero in ascending k, then store C + acc (or acc). Two consequences are
-// checked bit for bit, on the blocked device and on the sparse device with no
-// weight operand (which runs the same dense panels): kNT(A, B) equals
-// kNN(A, Bᵀ), and an m-row GEMM equals m stacked one-row GEMMs — so neither
+// checked bit for bit on the blocked device: kNT(A, B) equals kNN(A, Bᵀ),
+// and an m-row GEMM equals m stacked one-row GEMMs — so neither
 // the tile height (4, or the 3/2/1 tail), nor nt's k-block split, nor the row
 // chunking of math_threads changes a bit.
 
@@ -277,8 +254,7 @@ void oracle_gemm(const Device& device, int op, const float* a, const float* b, f
                  std::size_t m, std::size_t k, std::size_t n, bool accumulate,
                  const GemmEpilogue* ep) {
   const GemmOp ops[] = {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT, GemmOp::kNN};
-  device.gemm(ops[op], a, b, c, m, k, n, accumulate, WeightSide::kNone, 0, 0,
-              op == 3 ? ep : nullptr);
+  device.gemm(ops[op], a, b, c, m, k, n, accumulate, op == 3 ? ep : nullptr);
 }
 
 /// Every row of `op` run as its own one-row GEMM.
@@ -315,30 +291,27 @@ TEST(BackendBitwise, TileHeightsAndKBlocksKeepEachElementsOpChain) {
         }
         const OracleEpilogue ep(rng, m);
         const GemmEpilogue full_ep = ep.at(0);
-        for (const char* name : {"blocked", "sparse"}) {
-          const Device& device = get_device(name);
-          for (const bool accumulate : {false, true}) {
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-              set_math_threads(threads);
-              const std::string shape = std::string(name) + " " + std::to_string(m) + "x" +
-                                        std::to_string(k) + "x" + std::to_string(n) +
-                                        (accumulate ? " acc" : "") + " threads " +
-                                        std::to_string(threads);
-              std::vector<float> nt = initial_c(m * n, accumulate);
-              oracle_gemm(device, 2, a.data(), b.data(), nt.data(), m, k, n, accumulate,
-                          nullptr);
-              std::vector<float> nn_of_bt = initial_c(m * n, accumulate);
-              oracle_gemm(device, 0, a.data(), bt.data(), nn_of_bt.data(), m, k, n,
-                          accumulate, nullptr);
-              ASSERT_TRUE(bitwise_equal(nn_of_bt, nt)) << "nt(A, B) vs nn(A, Bt) " << shape;
-              for (int op = 0; op < 4; ++op) {
-                std::vector<float> whole = initial_c(m * n, accumulate);
-                oracle_gemm(device, op, a.data(), b.data(), whole.data(), m, k, n,
-                            accumulate, &full_ep);
-                ASSERT_TRUE(bitwise_equal(
-                    stacked_rows(device, op, a, b, m, k, n, accumulate, ep), whole))
-                    << kOracleOps[op] << " m rows vs m one-row GEMMs " << shape;
-              }
+        const Device& device = get_device("blocked");
+        for (const bool accumulate : {false, true}) {
+          for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            set_math_threads(threads);
+            const std::string shape = std::to_string(m) + "x" + std::to_string(k) + "x" +
+                                      std::to_string(n) + (accumulate ? " acc" : "") +
+                                      " threads " + std::to_string(threads);
+            std::vector<float> nt = initial_c(m * n, accumulate);
+            oracle_gemm(device, 2, a.data(), b.data(), nt.data(), m, k, n, accumulate,
+                        nullptr);
+            std::vector<float> nn_of_bt = initial_c(m * n, accumulate);
+            oracle_gemm(device, 0, a.data(), bt.data(), nn_of_bt.data(), m, k, n,
+                        accumulate, nullptr);
+            ASSERT_TRUE(bitwise_equal(nn_of_bt, nt)) << "nt(A, B) vs nn(A, Bt) " << shape;
+            for (int op = 0; op < 4; ++op) {
+              std::vector<float> whole = initial_c(m * n, accumulate);
+              oracle_gemm(device, op, a.data(), b.data(), whole.data(), m, k, n,
+                          accumulate, &full_ep);
+              ASSERT_TRUE(bitwise_equal(
+                  stacked_rows(device, op, a, b, m, k, n, accumulate, ep), whole))
+                  << kOracleOps[op] << " m rows vs m one-row GEMMs " << shape;
             }
           }
         }
@@ -440,22 +413,20 @@ TEST(BackendBitwise, ImplicitConvMatchesUnrolledPanels) {
 
         for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
           set_math_threads(threads);
-          for (const char* name : {"blocked", "sparse"}) {
-            const Device& device = get_device(name);
-            const std::string label = std::string(cc.name) + " " + name + " batch " +
-                                      std::to_string(batch) + " m " + std::to_string(m) +
-                                      " threads " + std::to_string(threads);
-            std::vector<float> got(m * cols, -99.0f);
-            device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), nullptr, 0, 0);
-            ASSERT_TRUE(bitwise_equal(want_plain, got)) << "plain forward " << label;
-            device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), &bias_ep, 0, 0);
-            ASSERT_TRUE(bitwise_equal(want_bias, got)) << "bias forward " << label;
-            device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), &fused_ep, 0, 0);
-            ASSERT_TRUE(bitwise_equal(want_fused, got)) << "fused forward " << label;
-            std::vector<float> dw = initial_c(m * k, /*accumulate=*/true);
-            device.conv_weight_grad(dy.data(), m, x.data(), batch, g, dw.data());
-            ASSERT_TRUE(bitwise_equal(want_dw, dw)) << "weight gradient " << label;
-          }
+          const Device& device = get_device("blocked");
+          const std::string label = std::string(cc.name) + " batch " +
+                                    std::to_string(batch) + " m " + std::to_string(m) +
+                                    " threads " + std::to_string(threads);
+          std::vector<float> got(m * cols, -99.0f);
+          device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), nullptr);
+          ASSERT_TRUE(bitwise_equal(want_plain, got)) << "plain forward " << label;
+          device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), &bias_ep);
+          ASSERT_TRUE(bitwise_equal(want_bias, got)) << "bias forward " << label;
+          device.conv_forward(w.data(), m, x.data(), batch, g, got.data(), &fused_ep);
+          ASSERT_TRUE(bitwise_equal(want_fused, got)) << "fused forward " << label;
+          std::vector<float> dw = initial_c(m * k, /*accumulate=*/true);
+          device.conv_weight_grad(dy.data(), m, x.data(), batch, g, dw.data());
+          ASSERT_TRUE(bitwise_equal(want_dw, dw)) << "weight gradient " << label;
         }
         set_math_threads(0);
       }
@@ -463,37 +434,9 @@ TEST(BackendBitwise, ImplicitConvMatchesUnrolledPanels) {
   }
 }
 
-// A 10%-dense filter bank sends the sparse device through CSR over the
-// unrolled patches; its forward still gives the blocked implicit bits.
-TEST(BackendBitwise, SparseCsrConvMatchesBlockedImplicit) {
-  Rng rng(82);
-  for (const ConvOracleCase& cc : kConvOracleCases) {
-    const ConvGeometry& g = cc.g;
-    const std::size_t batch = 10, k = g.patch_size();
-    const std::size_t out_size = batch * g.out_h() * g.out_w();
-    const std::vector<float> x = random_matrix(rng, batch * g.in_channels * g.in_h * g.in_w);
-    for (std::size_t m = 1; m <= 6; ++m) {
-      const std::vector<float> w = random_matrix(rng, m * k, 0.1);
-      const OracleEpilogue ep(rng, m);
-      const GemmEpilogue fused_ep = ep.at(0);
-      GemmEpilogue bias_ep;
-      bias_ep.bias = ep.bias.data();
-      const GemmEpilogue* epilogues[] = {nullptr, &bias_ep, &fused_ep};
-      for (const GemmEpilogue* epilogue : epilogues) {
-        std::vector<float> blocked(m * out_size), sparse(m * out_size);
-        get_device("blocked").conv_forward(w.data(), m, x.data(), batch, g, blocked.data(),
-                                           epilogue, 0, 0);
-        get_device("sparse").conv_forward(w.data(), m, x.data(), batch, g, sparse.data(),
-                                          epilogue, 0, 0);
-        ASSERT_TRUE(bitwise_equal(blocked, sparse)) << cc.name << " m " << m;
-      }
-    }
-  }
-}
-
 // --- layer-level equivalence ------------------------------------------------
 
-/// Forward + backward of one conv configuration on every device; outputs,
+/// Forward + backward of one conv configuration on blocked; outputs,
 /// parameter gradients and input gradients must agree with naive.
 void conv_all_backends(std::size_t in_c, std::size_t out_c, std::size_t hw,
                        std::size_t kernel, std::size_t stride, std::size_t pad,
@@ -524,25 +467,23 @@ void conv_all_backends(std::size_t in_c, std::size_t out_c, std::size_t hw,
     return pass;
   };
   const Pass want = run("naive");
-  for (const char* name : {"blocked", "sparse"}) {
-    const Pass got = run(name);
-    const std::string label = std::string("conv ") + name;
-    expect_close({want.out.data(), want.out.data() + want.out.numel()},
-                 {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
-    expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
-                 {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
-                 label + " grad_in");
-    expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
-                 {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
-    expect_close({want.db.data(), want.db.data() + want.db.numel()},
-                 {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
-  }
+  const Pass got = run("blocked");
+  const std::string label = "conv blocked";
+  expect_close({want.out.data(), want.out.data() + want.out.numel()},
+               {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
+  expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
+               {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
+               label + " grad_in");
+  expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
+               {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
+  expect_close({want.db.data(), want.db.data() + want.db.numel()},
+               {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
 }
 
 TEST(BackendLayers, ConvAgreesAcrossBackends) {
   conv_all_backends(3, 6, 11, 5, 1, 0, 1.0);   // odd spatial, valid conv
   conv_all_backends(2, 4, 9, 3, 2, 1, 1.0);    // strided + padded
-  conv_all_backends(3, 8, 12, 5, 1, 2, 0.15);  // masked weights → sparse path
+  conv_all_backends(3, 8, 12, 5, 1, 2, 0.15);  // masked weights
 }
 
 TEST(BackendLayers, LinearAgreesAcrossBackends) {
@@ -573,19 +514,17 @@ TEST(BackendLayers, LinearAgreesAcrossBackends) {
   };
   for (const double density : {1.0, 0.1}) {
     const Pass want = run("naive", density);
-    for (const char* name : {"blocked", "sparse"}) {
-      const Pass got = run(name, density);
-      const std::string label = std::string("linear ") + name;
-      expect_close({want.out.data(), want.out.data() + want.out.numel()},
-                   {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
-      expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
-                   {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
-                   label + " grad_in");
-      expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
-                   {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
-      expect_close({want.db.data(), want.db.data() + want.db.numel()},
-                   {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
-    }
+    const Pass got = run("blocked", density);
+    const std::string label = "linear blocked";
+    expect_close({want.out.data(), want.out.data() + want.out.numel()},
+                 {got.out.data(), got.out.data() + got.out.numel()}, label + " out");
+    expect_close({want.grad_in.data(), want.grad_in.data() + want.grad_in.numel()},
+                 {got.grad_in.data(), got.grad_in.data() + got.grad_in.numel()},
+                 label + " grad_in");
+    expect_close({want.dw.data(), want.dw.data() + want.dw.numel()},
+                 {got.dw.data(), got.dw.data() + got.dw.numel()}, label + " dw");
+    expect_close({want.db.data(), want.db.data() + want.db.numel()},
+                 {got.db.data(), got.db.data() + got.db.numel()}, label + " db");
   }
 }
 

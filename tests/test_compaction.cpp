@@ -119,7 +119,7 @@ TEST(Compaction, BitIdenticalToMaskingAcrossNetsDevicesThreadsAndEval) {
   const std::size_t prev_threads = math_threads();
   std::size_t compacted_cases = 0;
   for (const Net& net : kNets) {
-    for (const char* backend : {"naive", "blocked", "sparse"}) {
+    for (const char* backend : {"naive", "blocked"}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         for (const MaskKind kind : {MaskKind::kRandom, MaskKind::kOneKept, MaskKind::kAllKept}) {
           set_math_threads(threads);
@@ -130,8 +130,8 @@ TEST(Compaction, BitIdenticalToMaskingAcrossNetsDevicesThreadsAndEval) {
           Model masked = make_model(spec, 31);
           Model compacted = make_model(spec, 31);
 
-          // Hybrid-style mask: channels plus an unstructured FC mask, so the
-          // sparse device sees low-density weights on both paths.
+          // Hybrid-style mask: channels plus an unstructured FC mask, so both
+          // paths see low-density weights.
           Rng rng(41 + static_cast<std::uint64_t>(kind));
           const ChannelMask channels = make_channel_mask(masked, kind, rng);
           ModelMask fc = ModelMask::ones_like(masked, MaskScope::kFcOnly);
@@ -183,7 +183,7 @@ TEST(Compaction, BitIdenticalToMaskingAcrossNetsDevicesThreadsAndEval) {
     }
   }
   set_math_threads(prev_threads);
-  EXPECT_EQ(compacted_cases, 3u * 3u * 2u * 2u);
+  EXPECT_EQ(compacted_cases, 3u * 2u * 2u * 2u);
 }
 
 /// A Model's first layer computes no input gradient (Layer::set_input_grad).
@@ -193,7 +193,7 @@ TEST(Compaction, BitIdenticalToMaskingAcrossNetsDevicesThreadsAndEval) {
 TEST(FirstLayerInputGrad, SkippingItChangesNoGradientOrWeight) {
   std::size_t cases = 0;
   for (const Net& net : kNets) {
-    for (const char* backend : {"naive", "blocked", "sparse"}) {
+    for (const char* backend : {"naive", "blocked"}) {
       for (const bool compact : {false, true}) {
         const std::string label = std::string(net.name) + "/" + backend +
                                   (compact ? "/compacted" : "/full");
@@ -248,7 +248,7 @@ TEST(FirstLayerInputGrad, SkippingItChangesNoGradientOrWeight) {
       }
     }
   }
-  EXPECT_EQ(cases, 3u * 3u * 2u);
+  EXPECT_EQ(cases, 3u * 2u * 2u);
 }
 
 /// Output shape of every layer of `model` on `x`, in eval mode.
@@ -315,41 +315,6 @@ TEST(Compaction, ChangingKeptChannelsDropsTheCachedForward) {
   mask.block(0)[2] = 0;
   model.set_kept_channels(mask.blocks());
   EXPECT_THROW(model.backward(logits), CheckError);
-}
-
-TEST(Compaction, SparseDeviceScansDensityOncePerPruningPassNotPerCall) {
-  ModelSpec spec = ModelSpec::lenet5(10);
-  spec.backend = "sparse";
-  Model model = make_model(spec, 71);
-  Rng rng(72);
-  ChannelMask channels = make_channel_mask(model, MaskKind::kRandom, rng);
-  ModelMask fc = derive_magnitude_mask(model, ModelMask::ones_like(model, MaskScope::kFcOnly), 0.9);
-  const ModelMask mask = channels.to_model_mask(model).intersected(fc);
-  mask.apply_to_weights(model);
-  model.set_kept_channels(channels.blocks());
-
-  Tensor batch({4, 3, 32, 32});
-  batch.fill_normal(rng, 0.0f, 1.0f);
-  const std::vector<std::int32_t> labels = {1, 2, 3, 4};
-  SgdConfig sgd;
-  Sgd optimizer(model.parameters(), sgd);
-  const Device& dev = get_device("sparse");
-  train_step(model, batch, labels, mask, &optimizer);  // first call plans every GEMM
-  model.forward(batch, /*train=*/false);
-  const std::uint64_t scans = dev.stats().density_scans;
-  for (int step = 0; step < 4; ++step) {
-    train_step(model, batch, labels, mask, &optimizer);
-    model.forward(batch, /*train=*/false);
-  }
-  EXPECT_EQ(dev.stats().density_scans, scans);
-
-  // A new mask epoch (the next pruning pass) rescans, once.
-  mask.apply_to_weights(model);
-  train_step(model, batch, labels, mask, &optimizer);
-  const std::uint64_t rescanned = dev.stats().density_scans;
-  EXPECT_GT(rescanned, scans);
-  train_step(model, batch, labels, mask, &optimizer);
-  EXPECT_EQ(dev.stats().density_scans, rescanned);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Device API: registry, sparse dispatch (only named weight operands run
-// sparse), execution-plan cache (incl. concurrency and mask-epoch
-// invalidation), workspace leases (and a pool that does not grow with the
+// Device API: registry (and the refusal of unknown names), concurrent
+// callers, workspace leases (and a pool that does not grow with the
 // number of models), fork safety, fused conv→bn→relu epilogues
 // (bit-identical to the unfused chain), and the registered env-knob table
 // (asserted against the README in both directions).
@@ -60,14 +59,6 @@ std::vector<float> naive_nn(const std::vector<float>& a, const std::vector<float
   return c;
 }
 
-void expect_close(const std::vector<float>& want, const float* got, double rel,
-                  const std::string& label) {
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const double tol = rel * (1.0 + std::fabs(want[i]));
-    ASSERT_NEAR(want[i], got[i], tol) << label << " at " << i;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 
@@ -75,22 +66,26 @@ TEST(DeviceRegistry, BackendNamesAliasOntoSingletonDevices) {
   const Device& blocked = get_device("blocked");
   EXPECT_EQ(blocked.name(), "blocked");
   EXPECT_EQ(&blocked, &get_device("blocked"));
-  EXPECT_NE(&blocked, &get_device("sparse"));
+  EXPECT_NE(&blocked, &get_device("naive"));
 
   EXPECT_TRUE(has_device("naive"));
   EXPECT_FALSE(has_device("cublas"));
 
   const std::vector<std::string> names = list_devices();
-  EXPECT_EQ(names, (std::vector<std::string>{"blocked", "naive", "sparse"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"blocked", "naive"}));
 }
 
+/// "sparse" named a device that no longer exists; old specs and env settings
+/// naming it fail like any other unknown name.
 TEST(DeviceRegistry, UnknownNamesFailListingTheValidOnes) {
-  try {
-    get_device("cublas");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("naive | blocked | sparse"), std::string::npos)
-        << e.what();
+  for (const char* name : {"cublas", "sparse"}) {
+    EXPECT_FALSE(has_device(name)) << name;
+    try {
+      get_device(name);
+      FAIL() << "expected CheckError for " << name;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("blocked | naive"), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -100,78 +95,24 @@ TEST(DeviceRegistry, SpecValidationListsTheDevices) {
   bogus.shards_per_client = 2;
   bogus.shard = 20;
   bogus.test_per_class = 4;
-  bogus.backend = "cublas";
   const FederatedData data(bogus.dataset_spec(), bogus.data_config());
-  try {
-    bogus.make_context(data);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    // The message enumerates the device registry.
-    EXPECT_NE(what.find("naive | sparse"), std::string::npos) << what;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse dispatch
-
-/// A GEMM that names no weight operand (WeightSide::kNone) runs the dense
-/// kernels on the sparse device, so it gives exactly the blocked device's
-/// bits at any operand density. conv2's weight-gradient GEMM is the
-/// motivating shape: m 16 output channels, k 1000 batch pixels, n 150 taps.
-TEST(SparseDispatch, UnhintedGemmIsBitIdenticalToBlocked) {
-  struct Dims {
-    std::size_t m, k, n;
-  };
-  const Dims shapes[] = {{16, 1000, 150}, {13, 31, 63}, {64, 64, 64}};
-  const Device& blocked = get_device("blocked");
-  const Device& sparse = get_device("sparse");
-  Rng rng(71);
-  for (const GemmOp op : {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT}) {
-    for (const double density : {0.1, 0.5}) {
-      for (const Dims& d : shapes) {
-        std::vector<float> a(d.m * d.k), b(d.k * d.n);
-        for (std::vector<float>* operand : {&a, &b}) {
-          for (float& x : *operand) {
-            x = rng.bernoulli(density) ? static_cast<float>(rng.normal()) : 0.0f;
-          }
-        }
-        for (const bool accumulate : {false, true}) {
-          std::vector<float> want(d.m * d.n, 0.5f), got(d.m * d.n, 0.5f);
-          blocked.gemm(op, a.data(), b.data(), want.data(), d.m, d.k, d.n, accumulate);
-          sparse.gemm(op, a.data(), b.data(), got.data(), d.m, d.k, d.n, accumulate);
-          EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
-              << "op " << static_cast<int>(op) << " density " << density << " " << d.m << "x"
-              << d.k << "x" << d.n << (accumulate ? " acc" : "");
-        }
-      }
+  for (const char* name : {"cublas", "sparse"}) {
+    bogus.backend = name;
+    try {
+      bogus.make_context(data);
+      FAIL() << "expected CheckError for " << name;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      // The message enumerates the device registry.
+      EXPECT_NE(what.find("auto | blocked | naive"), std::string::npos) << what;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Execution-plan cache
+// Concurrency
 
-TEST(PlanCache, SecondCallOnAShapeIsAHit) {
-  const Device& dev = get_device("blocked");
-  const std::size_t m = 37, k = 53, n = 29;  // unlikely to collide with other tests
-  Rng rng(11);
-  const std::vector<float> a = random_vec(rng, m * k);
-  const std::vector<float> b = random_vec(rng, k * n);
-  std::vector<float> c(m * n);
-
-  const DeviceStats before = dev.stats();
-  dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, false);
-  dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, false);
-  const DeviceStats after = dev.stats();
-
-  EXPECT_GE(after.plan_misses, before.plan_misses + 1);
-  EXPECT_GE(after.plan_hits, before.plan_hits + 1);
-  EXPECT_GE(after.plan_entries, 1u);
-  expect_close(naive_nn(a, b, m, k, n), c.data(), 1e-4, "plan-cache gemm");
-}
-
-TEST(PlanCache, ConcurrentCallersShareThePlanSafely) {
+TEST(DeviceConcurrency, ConcurrentCallersShareTheDeviceSafely) {
   const Device& dev = get_device("blocked");
   const std::size_t m = 41, k = 67, n = 31;
   Rng rng(12);
@@ -180,7 +121,6 @@ TEST(PlanCache, ConcurrentCallersShareThePlanSafely) {
   const std::vector<float> want = naive_nn(a, b, m, k, n);
 
   constexpr std::size_t kThreads = 8, kCallsPerThread = 50;
-  const DeviceStats before = dev.stats();
   std::vector<std::thread> workers;
   std::vector<int> ok(kThreads, 0);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -197,87 +137,6 @@ TEST(PlanCache, ConcurrentCallersShareThePlanSafely) {
   }
   for (auto& w : workers) w.join();
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
-
-  const DeviceStats after = dev.stats();
-  const std::uint64_t calls = kThreads * kCallsPerThread;
-  EXPECT_EQ(after.plan_hits + after.plan_misses, before.plan_hits + before.plan_misses + calls);
-  // All but the racing first resolutions should hit.
-  EXPECT_GE(after.plan_hits, before.plan_hits + calls - kThreads);
-}
-
-TEST(PlanCache, SparseDecisionIsCachedUntilTheMaskEpochMoves) {
-  const Device& dev = get_device("sparse");
-  const std::size_t m = 48, k = 64, n = 24;
-  Rng rng(13);
-  std::vector<float> w(m * k, 0.0f);
-  for (auto& x : w) {
-    if (rng.bernoulli(0.1)) x = static_cast<float>(rng.normal());
-  }
-  const std::vector<float> b = random_vec(rng, k * n);
-  std::vector<float> c(m * n);
-  const std::uint64_t uid = next_parameter_uid();
-
-  const auto scans = [&] { return dev.stats().density_scans; };
-  const std::uint64_t s0 = scans();
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 0);
-  EXPECT_EQ(scans(), s0 + 1);
-  expect_close(naive_nn(w, b, m, k, n), c.data(), 1e-4, "sparse planned gemm");
-
-  // Same weight identity, same epoch: the O(weight) scan is skipped.
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 0);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 0);
-  EXPECT_EQ(scans(), s0 + 1);
-
-  // A pruning pass bumps the epoch → exactly one rescan.
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 1);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, uid, 1);
-  EXPECT_EQ(scans(), s0 + 2);
-
-  // Anonymous weights (uid 0) keep the legacy inspect-per-call behaviour.
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, 0, 0);
-  dev.gemm(GemmOp::kNN, w.data(), b.data(), c.data(), m, k, n, false, WeightSide::kA, 0, 0);
-  EXPECT_EQ(scans(), s0 + 4);
-}
-
-TEST(PlanCache, ParameterIdentityTracksPruningAndStateLoads) {
-  Parameter p("w", Tensor({4, 4}), /*is_prunable=*/true);
-  EXPECT_NE(p.uid, 0u);
-  EXPECT_EQ(p.mask_epoch, 0u);
-
-  // Copies are distinct tensors → fresh uid; assignment keeps identity but
-  // advances the epoch (the incoming values may be masked differently).
-  Parameter q = p;
-  EXPECT_NE(q.uid, p.uid);
-  const std::uint64_t q_uid = q.uid;
-  q = p;
-  EXPECT_EQ(q.uid, q_uid);
-  EXPECT_EQ(q.mask_epoch, 1u);
-
-  // Mask application bumps exactly the masked (prunable) parameters.
-  Rng rng(14);
-  Model model = ModelSpec::cnn5(10).build_init(rng);
-  std::vector<std::uint64_t> before;
-  for (Parameter* param : model.parameters()) before.push_back(param->mask_epoch);
-  ModelMask mask = ModelMask::ones_like(model, MaskScope::kAllPrunable);
-  mask = derive_magnitude_mask(model, mask, 0.5);
-  mask.apply_to_weights(model);
-  std::size_t i = 0, bumped = 0;
-  for (Parameter* param : model.parameters()) {
-    if (param->prunable) {
-      EXPECT_EQ(param->mask_epoch, before[i] + 1) << param->name;
-      ++bumped;
-    } else {
-      EXPECT_EQ(param->mask_epoch, before[i]) << param->name;
-    }
-    ++i;
-  }
-  EXPECT_GT(bumped, 0u);
-
-  // load_state invalidates everything (a loaded global may be pruned).
-  const StateDict snapshot = model.state();
-  const std::uint64_t epoch0 = model.parameters().front()->mask_epoch;
-  model.load_state(snapshot);
-  EXPECT_EQ(model.parameters().front()->mask_epoch, epoch0 + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +182,7 @@ TEST(Workspace, DevicePoolDoesNotGrowWithTheModelCount) {
   train_batch.fill_normal(rng, 0.0f, 1.0f);
   std::vector<std::int32_t> labels(10);
   for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<std::int32_t>(i);
-  for (const char* backend : {"blocked", "sparse", "naive"}) {
+  for (const char* backend : {"blocked", "naive"}) {
     ModelSpec spec = ModelSpec::lenet5(10);
     spec.backend = backend;
     const Device& dev = get_device(backend);
@@ -348,8 +207,8 @@ TEST(Workspace, DevicePoolDoesNotGrowWithTheModelCount) {
 // Fork safety
 
 /// The subprocess transport forks while other threads (other sweep runs) keep
-/// leasing and planning on the shared devices. A child forked while one of
-/// them holds a device's pool or plan mutex, or a telemetry registry mutex,
+/// leasing and computing on the shared devices. A child forked while one of
+/// them holds a device's pool mutex, or a telemetry registry mutex,
 /// must still find it unlocked: each child leases, runs a GEMM and exits. The
 /// parent reaps against a deadline, so a regression fails instead of hanging.
 TEST(ForkSafety, ChildrenForkedWhileThreadsHammerADeviceNeverBlock) {
@@ -440,7 +299,7 @@ TEST(FusedEpilogue, EvalForwardIsBitIdenticalToTheUnfusedChain) {
                       {"lenet5", ModelSpec::lenet5(10)},
                       {"cnn_deep", ModelSpec::cnn_deep(10)}};
   for (const Net& net : nets) {
-    for (const char* backend : {"naive", "blocked", "sparse"}) {
+    for (const char* backend : {"naive", "blocked"}) {
       ModelSpec spec = net.spec;
       spec.backend = backend;
       Model model = warmed_model(spec, 21);
@@ -457,21 +316,18 @@ TEST(FusedEpilogue, EvalForwardIsBitIdenticalToTheUnfusedChain) {
       EXPECT_EQ(std::memcmp(unfused.data(), fused.data(), unfused.numel() * sizeof(float)), 0)
           << net.name << " on " << backend;
 
-      // Pruned weights route the sparse device through CSR + epilogue
-      // post-pass — still bit-identical.
-      if (std::string(backend) == "sparse") {
-        ModelMask mask = ModelMask::ones_like(model, MaskScope::kAllPrunable);
-        mask = derive_magnitude_mask(model, mask, 0.85);
-        mask.apply_to_weights(model);
-        model.set_fusion(false);
-        const Tensor sparse_unfused = model.forward(batch, /*train=*/false);
-        model.set_fusion(true);
-        const Tensor sparse_fused = model.forward(batch, /*train=*/false);
-        EXPECT_EQ(std::memcmp(sparse_unfused.data(), sparse_fused.data(),
-                              sparse_unfused.numel() * sizeof(float)),
-                  0)
-            << net.name << " pruned on sparse";
-      }
+      // Pruned weights: still bit-identical.
+      ModelMask mask = ModelMask::ones_like(model, MaskScope::kAllPrunable);
+      mask = derive_magnitude_mask(model, mask, 0.85);
+      mask.apply_to_weights(model);
+      model.set_fusion(false);
+      const Tensor pruned_unfused = model.forward(batch, /*train=*/false);
+      model.set_fusion(true);
+      const Tensor pruned_fused = model.forward(batch, /*train=*/false);
+      EXPECT_EQ(std::memcmp(pruned_unfused.data(), pruned_fused.data(),
+                            pruned_unfused.numel() * sizeof(float)),
+                0)
+          << net.name << " pruned on " << backend;
     }
   }
 }

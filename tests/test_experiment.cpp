@@ -464,13 +464,13 @@ TEST_F(ExperimentApi, SpecTagAndCheckpointFieldsRoundTrip) {
 
 TEST_F(ExperimentApi, SpecBackendAndRobustFieldsRoundTripAndValidate) {
   ExperimentSpec spec;
-  spec.backend = "sparse";
+  spec.backend = "naive";
   spec.math_threads = 3;
   spec.corrupt_fraction = 0.25;
   spec.corrupt_noise = 2.5;
   spec.robust_filter = 3.0;
   const ExperimentSpec restored = ExperimentSpec::from_kv(spec.to_kv());
-  EXPECT_EQ(restored.backend, "sparse");
+  EXPECT_EQ(restored.backend, "naive");
   EXPECT_EQ(restored.math_threads, 3u);
   EXPECT_DOUBLE_EQ(restored.corrupt_fraction, 0.25);
   EXPECT_DOUBLE_EQ(restored.corrupt_noise, 2.5);

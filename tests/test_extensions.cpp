@@ -352,6 +352,13 @@ TEST_F(HybridCheckpointTest, SfcgRestoreRejectsMalformedMasksBeforeAnyClient) {
     write_bytes(path, encode_state_sections(original.name(), sections));
     expect_rejected_without_restoring(path, /*legacy=*/false, edit.label);
   }
+  // A hostile section count (magic, version and the name blob come first) is
+  // refused as a CheckError before anything is reserved for it.
+  std::vector<std::uint8_t> hostile = encode_state_sections(original.name(), saved);
+  const std::size_t count_at = 4 + 4 + 4 + original.name().size();
+  std::fill_n(hostile.begin() + static_cast<std::ptrdiff_t>(count_at), 4, 0xFF);
+  write_bytes(path, hostile);
+  expect_rejected_without_restoring(path, /*legacy=*/false, "section count 0xFFFFFFFF");
 
   // The unedited checkpoint still restores.
   write_bytes(path, encode_state_sections(original.name(), saved));

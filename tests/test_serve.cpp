@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,6 +22,7 @@
 #include "net/socket.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "util/byte_reader.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -144,6 +147,44 @@ TEST(FederationSession, RestoreRejectsACheckpointFromADifferentSpec) {
     FAIL() << "restoring a different spec's checkpoint must throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("different spec"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(FederationSession, RestoreRefusesAHostileCurvePointCount) {
+  ExperimentSpec spec = small_spec("fedavg");
+  std::unique_ptr<FederationSession> a = FederationSession::from_spec(spec);
+  a->advance_round();
+  a->evaluate();
+  const std::string path = fresh_path("hostile_points.session");
+  a->save(path);
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // Magic, version, the spec blob and six u64 counters come before the u32
+  // curve point count.
+  ByteReader header(bytes, "session checkpoint");
+  header.u32();
+  header.u32();
+  header.blob();
+  for (int i = 0; i < 6; ++i) header.u64();
+  const std::size_t points_at = bytes.size() - header.remaining();
+  ASSERT_EQ(header.u32(), 1u);  // one evaluated point
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(points_at), 4, 0xFF);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::unique_ptr<FederationSession> b = FederationSession::from_spec(spec);
+  try {
+    b->restore(path);
+    FAIL() << "a curve point count past the file's end must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("curve points"), std::string::npos) << e.what();
   }
   std::filesystem::remove(path);
 }

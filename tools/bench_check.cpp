@@ -25,7 +25,7 @@
 // Path selectors address the bench JSON: dot-separated object keys, with
 // `[N]` array indexing and `[k=v,k2=v2]` first-match array filtering (string
 // or numeric member equality) — e.g. google-benchmark output is addressed as
-// `benchmarks[name=BM_GemmBackend/128/1/100].real_time`. Machine-dependent
+// `benchmarks[name=BM_GemmBackend/128/1].real_time`. Machine-dependent
 // absolute timings should be tracked as ratios (naive/blocked), which cancel
 // host speed; simulated_seconds and byte counts are deterministic and can be
 // tracked absolutely.
