@@ -45,6 +45,7 @@ struct Device::Impl {
   mutable std::mutex pool_mu;
   std::unordered_map<std::size_t, std::vector<float*>> pool;  // size class → free buffers
 
+  std::atomic<std::uint64_t> gemm_plans{0};
   std::atomic<std::uint64_t> workspace_leases{0};
   std::atomic<std::uint64_t> workspace_reuses{0};
   std::atomic<std::uint64_t> bytes_allocated{0};
@@ -131,6 +132,7 @@ void Device::release(float* data, std::size_t floats) const noexcept {
 
 DeviceStats Device::stats() const noexcept {
   DeviceStats s;
+  s.plan_misses = impl_->gemm_plans.load(std::memory_order_relaxed);
   s.workspace_leases = impl_->workspace_leases.load(std::memory_order_relaxed);
   s.workspace_reuses = impl_->workspace_reuses.load(std::memory_order_relaxed);
   s.bytes_allocated = impl_->bytes_allocated.load(std::memory_order_relaxed);
@@ -161,6 +163,7 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
   }
 
   const std::size_t chunks = kern::plan_chunks(m, 2 * m * k * n);
+  impl_->gemm_plans.fetch_add(1, std::memory_order_relaxed);
   switch (op) {
     case GemmOp::kNN:
       if (ep != nullptr) {

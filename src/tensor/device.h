@@ -82,13 +82,16 @@ class WorkspaceLease {
   std::size_t size_ = 0;  ///< granted capacity in floats
 };
 
-/// Always-on (relaxed-atomic) workspace-pool counters, independent of the
-/// telemetry level — tests assert pool behaviour through these.
+/// Always-on (relaxed-atomic) GEMM-plan and workspace-pool counters,
+/// independent of the telemetry level — tests assert device behaviour
+/// through these.
 struct DeviceStats {
-  // Devices keep no plan cache and scan no weight densities; these three
-  // always read 0 and remain only for readers of the older counters.
+  /// Always 0: devices cache no GEMM plans, so no plan is ever a hit.
   std::uint64_t plan_hits = 0;
+  /// Row-chunk plans computed — one per blocked gemm() call that reaches the
+  /// kernels (every plan is computed afresh; naive runs unplanned).
   std::uint64_t plan_misses = 0;
+  /// Always 0: devices never scan weight densities.
   std::uint64_t density_scans = 0;
   std::uint64_t workspace_leases = 0; ///< lease() calls
   std::uint64_t workspace_reuses = 0; ///< leases served from the pool

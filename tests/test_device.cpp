@@ -1,5 +1,5 @@
 // Device API: registry (and the refusal of unknown names), concurrent
-// callers, workspace leases (and a pool that does not grow with the
+// callers, GEMM-plan counters, workspace leases (and a pool that does not grow with the
 // number of models), fork safety, fused conv→bn→relu epilogues
 // (bit-identical to the unfused chain), and the registered env-knob table
 // (asserted against the README in both directions).
@@ -137,6 +137,29 @@ TEST(DeviceConcurrency, ConcurrentCallersShareTheDeviceSafely) {
   }
   for (auto& w : workers) w.join();
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
+}
+
+/// No plan is cached: every blocked GEMM computes its row-chunk plan (one
+/// miss per call, never a hit), naive runs unplanned, and no device scans
+/// weight densities.
+TEST(DeviceConcurrency, EveryBlockedGemmCountsOnePlanMiss) {
+  const std::size_t m = 9, k = 13, n = 7;
+  Rng rng(5);
+  const std::vector<float> a = random_vec(rng, m * k);
+  const std::vector<float> b = random_vec(rng, k * n);
+  std::vector<float> c(m * n);
+  for (const char* name : {"blocked", "naive"}) {
+    SCOPED_TRACE(name);
+    const Device& dev = get_device(name);
+    const DeviceStats before = dev.stats();
+    for (int i = 0; i < 3; ++i) {
+      dev.gemm(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, false);
+    }
+    const DeviceStats after = dev.stats();
+    EXPECT_EQ(after.plan_misses - before.plan_misses, std::string(name) == "blocked" ? 3u : 0u);
+    EXPECT_EQ(after.plan_hits, 0u);
+    EXPECT_EQ(after.density_scans, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
